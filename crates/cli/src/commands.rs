@@ -315,7 +315,7 @@ fn join(args: &Args) -> Result<(), String> {
     let forest = io::load_forest(path)?;
     let tau = args.get_or("tau", 2u32)?;
     let limit = args.get_or("limit", 20usize)?;
-    let filter = BiBranchFilter::build(&forest, 2, BiBranchMode::Positional);
+    let filter = PostingsFilter::build(&forest, 2);
     let (pairs, stats) = treesim_search::similarity_self_join(&forest, &filter, tau);
     for pair in pairs.iter().take(limit) {
         println!(

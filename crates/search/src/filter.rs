@@ -11,6 +11,8 @@ use treesim_core::{
 use treesim_histogram::{BinBudget, HistogramVector};
 use treesim_tree::{Forest, Tree, TreeId};
 
+use crate::join::{JoinPartners, JoinScratch};
+
 /// Publishes an arena's footprint gauges (`arena.trees`, `arena.entries`)
 /// — refreshed whenever a filter (re)builds its CSR arena.
 pub(crate) fn publish_arena_gauges(arena: &VectorArena) {
@@ -87,6 +89,29 @@ pub trait Filter {
             candidates
                 .iter()
                 .map(|&id| self.stage_bound(query, id, stage)),
+        );
+    }
+
+    /// One similarity-join row: appends to `out` every partner `r` of
+    /// `left` (see [`JoinPartners`]) with
+    /// `!prunes_range(&prepare_query(left), r, τ)`, in any order.
+    ///
+    /// The default does exactly that, one [`Filter::prunes_range`] per
+    /// partner. Overrides must return the same set; `scratch` persists
+    /// across the rows of one join for their bookkeeping.
+    fn join_candidates(
+        &self,
+        partners: &JoinPartners<'_>,
+        left: TreeId,
+        _scratch: &mut JoinScratch,
+        out: &mut Vec<TreeId>,
+    ) {
+        let query = self.prepare_query(partners.forest().tree(left));
+        let tau = partners.tau();
+        out.extend(
+            partners
+                .window(left)
+                .filter(|&right| !self.prunes_range(&query, right, tau)),
         );
     }
 }
@@ -447,6 +472,25 @@ impl PostingsFilter {
         );
         treesim_core::edit_lower_bound(bdist_floor, self.q())
     }
+
+    /// [`Filter::prunes_range`] from the query's parts: the histogram test
+    /// (when the stage is wired in), then Proposition 4.2 with `propt`.
+    /// The join passes the left tree's stored vectors here, which equal
+    /// the ones `prepare_query` would rebuild from the tree.
+    fn prunes_pair(
+        &self,
+        vector: &PositionalVector,
+        histogram: Option<&HistogramVector>,
+        candidate: TreeId,
+        tau: u32,
+    ) -> bool {
+        if let (Some((vectors, _)), Some(histogram)) = (&self.histograms, histogram) {
+            if histogram.lower_bound(&vectors[candidate.index()]) > u64::from(tau) {
+                return true;
+            }
+        }
+        vector.exceeds_range(&self.vectors[candidate.index()], tau)
+    }
 }
 
 impl Filter for PostingsFilter {
@@ -584,14 +628,89 @@ impl Filter for PostingsFilter {
     }
 
     fn prunes_range(&self, query: &PostingsQuery, candidate: TreeId, tau: u32) -> bool {
-        if let (Some((vectors, _)), Some(histogram)) = (&self.histograms, &query.histogram) {
-            if histogram.lower_bound(&vectors[candidate.index()]) > u64::from(tau) {
-                return true;
+        self.prunes_pair(&query.vector, query.histogram.as_ref(), candidate, tau)
+    }
+
+    /// Join candidates from the inverted lists (DESIGN §10): no query is
+    /// prepared. Walking the posting lists of `left`'s stored branches
+    /// accumulates the shared mass of every tree sharing a branch with it
+    /// (a self-join starts each list after `left`); partners whose stage
+    /// −1 bound `⌈(|l|+|r|−2·shared)/5⌉` exceeds τ are dropped unpriced.
+    /// Partners sharing nothing have `BDist = |l| + |r|`, so they are
+    /// enumerated from the size buckets only when `⌈(|l|+|r|)/5⌉ ≤ τ`.
+    /// The survivors get `prunes_range`'s exact test on `left`'s stored
+    /// vectors. The bound drops no pair that test keeps
+    /// (`pos_bdist(·, τ) ≥ BDist`), so the result is the default's.
+    fn join_candidates(
+        &self,
+        partners: &JoinPartners<'_>,
+        left: TreeId,
+        scratch: &mut JoinScratch,
+        out: &mut Vec<TreeId>,
+    ) {
+        let tau = partners.tau();
+        // `⌈BDist/factor⌉ ≤ τ` ⟺ `BDist ≤ factor·τ`.
+        let limit = treesim_core::bound_factor(self.q()) * u64::from(tau);
+        let vector = &self.vectors[left.index()];
+        let histogram = self.histograms.as_ref().map(|(h, _)| &h[left.index()]);
+        let size = u64::from(vector.tree_size());
+        let JoinScratch { mass, touched } = scratch;
+        mass.resize(self.vectors.len(), 0);
+        let first = partners.first_partner(left);
+        for (branch, count) in vector.iter_counts() {
+            let list = self.index.postings(branch);
+            for posting in &list[list.partition_point(|p| p.tree < first)..] {
+                let lane = &mut mass[posting.tree.index()];
+                if *lane == 0 {
+                    touched.push(posting.tree);
+                }
+                *lane += u64::from(count.min(posting.count()));
             }
         }
-        query
-            .vector
-            .exceeds_range(&self.vectors[candidate.index()], tau)
+        #[cfg(feature = "strict-checks")]
+        let (start, mut expected) = {
+            let query = self.prepare_query(partners.forest().tree(left));
+            let expected: Vec<TreeId> = partners
+                .window(left)
+                .filter(|&right| {
+                    let floor =
+                        size + u64::from(self.index.tree_size(right)) - 2 * mass[right.index()];
+                    debug_assert_eq!(
+                        floor,
+                        vector.bdist(&self.vectors[right.index()]),
+                        "walked shared mass of {left:?} and {right:?} disagrees with BDist"
+                    );
+                    !self.prunes_range(&query, right, tau)
+                })
+                .collect();
+            (out.len(), expected)
+        };
+        if let Some(room) = limit.checked_sub(size) {
+            let room = u32::try_from(room).unwrap_or(u32::MAX);
+            out.extend(partners.window_up_to(left, room).filter(|&right| {
+                mass[right.index()] == 0 && !self.prunes_pair(vector, histogram, right, tau)
+            }));
+        }
+        for right in touched.drain(..) {
+            let shared = std::mem::take(&mut mass[right.index()]);
+            let floor = size + u64::from(self.index.tree_size(right)) - 2 * shared;
+            if floor <= limit
+                && partners.admits(left, right)
+                && !self.prunes_pair(vector, histogram, right, tau)
+            {
+                out.push(right);
+            }
+        }
+        #[cfg(feature = "strict-checks")]
+        {
+            let mut kept = out[start..].to_vec();
+            kept.sort_unstable();
+            expected.sort_unstable();
+            debug_assert_eq!(
+                kept, expected,
+                "postings join candidates of {left:?} diverged from prunes_range"
+            );
+        }
     }
 }
 

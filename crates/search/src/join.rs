@@ -2,13 +2,16 @@
 //! introduction motivates (approximate join, data cleansing, integration).
 //!
 //! A τ-join reports every pair of trees within edit distance τ. The
-//! filter-and-refine strategy applies per pair: the O(1) size bound, then
-//! the filter's lower bound (Proposition 4.2 pruning for the binary branch
-//! filter), and only then the refinement — which runs the *bounded*
-//! Zhang–Shasha DP ([`treesim_edit::bounded_zhang_shasha`]) with the join
-//! radius (or, for [`closest_pairs`], the running k-th pair distance) as
-//! its budget, so pairs whose distance provably exceeds the threshold
-//! abandon the DP early without changing any result.
+//! filter-and-refine strategy runs one row per left tree: the O(1) size
+//! bound picks the row's partners from size buckets ([`JoinPartners`]),
+//! the filter narrows them to the pairs it cannot prune
+//! ([`Filter::join_candidates`]; [`crate::PostingsFilter`] generates them
+//! from its inverted lists, DESIGN §10), and only those reach refinement
+//! — which runs the *bounded* Zhang–Shasha DP
+//! ([`treesim_edit::bounded_zhang_shasha`]) with the join radius (or, for
+//! [`closest_pairs`], the running k-th pair distance) as its budget, so
+//! pairs whose distance provably exceeds the threshold abandon the DP
+//! early without changing any result.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -36,7 +39,9 @@ pub struct JoinPair {
 /// Counters describing the join's filtering effectiveness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinStats {
-    /// Candidate pairs considered (after the trivial size pre-filter).
+    /// Candidate pairs considered: the pairs that pass the trivial size
+    /// pre-filter (`| |l|−|r| | ≤ τ`), however few of them the filter
+    /// actually evaluates (every pair for [`closest_pairs`]).
     pub pairs_considered: usize,
     /// Pairs surviving the filter (refinement DPs started).
     pub pairs_refined: usize,
@@ -115,12 +120,13 @@ pub fn similarity_self_join<F: Filter>(
     let _trace = treesim_obs::trace::start_trace();
     let _span = treesim_obs::span!("join.self", tau = tau, trees = forest.len());
     let ids: Vec<TreeId> = forest.iter().map(|(id, _)| id).collect();
-    join_partitions(forest, filter, &ids, None, tau)
+    join_partitions(forest, filter, &ids, &ids, tau)
 }
 
 /// Similarity join between two id sets over the same forest (e.g., two
 /// sources loaded into one label space for data integration):
 /// all pairs `(l, r)` with `l ∈ left`, `r ∈ right`, `EDist ≤ tau`.
+/// Both sides are sets: an id listed twice on one side counts once.
 pub fn similarity_join<F: Filter>(
     forest: &Forest,
     filter: &F,
@@ -136,7 +142,7 @@ pub fn similarity_join<F: Filter>(
         left = left.len(),
         right = right.len()
     );
-    join_partitions(forest, filter, left, Some(right), tau)
+    join_partitions(forest, filter, left, right, tau)
 }
 
 /// The `k` closest pairs of distinct trees (a top-k self-join): optimal
@@ -236,61 +242,216 @@ pub fn closest_pairs<F: Filter>(
     (results, stats)
 }
 
+/// Ids of one join side, sorted by `(size, id)`: each distinct tree size
+/// owns one contiguous run, so a size window is a short range of runs.
+#[derive(Debug)]
+struct SizeRuns {
+    ids: Vec<TreeId>,
+    /// `(size, start)` per distinct size, ascending; run `k` spans
+    /// `ids[start_k..start_{k+1}]` (the last one runs to the end).
+    runs: Vec<(u32, usize)>,
+}
+
+impl SizeRuns {
+    fn new(mut ids: Vec<TreeId>, sizes: &[u32]) -> Self {
+        ids.sort_unstable_by_key(|id| (sizes[id.index()], *id));
+        let mut runs: Vec<(u32, usize)> = Vec::new();
+        for (position, id) in ids.iter().enumerate() {
+            let size = sizes[id.index()];
+            if runs.last().map_or(true, |&(last, _)| last != size) {
+                runs.push((size, position));
+            }
+        }
+        SizeRuns { ids, runs }
+    }
+
+    /// The runs of trees with size in `lo..=hi`, each ascending by id.
+    fn window(&self, lo: u32, hi: u32) -> impl Iterator<Item = &[TreeId]> + '_ {
+        let first = self.runs.partition_point(|&(size, _)| size < lo);
+        let last = self.runs.partition_point(|&(size, _)| size <= hi);
+        (first..last).map(move |k| {
+            let begin = self.runs[k].1;
+            let end = self
+                .runs
+                .get(k + 1)
+                .map_or(self.ids.len(), |&(_, start)| start);
+            &self.ids[begin..end]
+        })
+    }
+}
+
+/// The partner side of one join call, bucketed by tree size.
+///
+/// For a left tree `l`, the *partners* are the right-side trees `r` with
+/// `| |l| − |r| | ≤ τ` (the size pre-filter, since `EDist ≥ | |l|−|r| |`)
+/// and `r ≠ l`; when both orientations of `{l, r}` qualify (overlapping
+/// partitions), only the `l < r` orientation is a partner. A self-join is
+/// the cross-join of the forest with itself, so there the partners of `l`
+/// are the size-compatible trees after it. Every partner pair is counted
+/// in [`JoinStats::pairs_considered`]; [`Filter::join_candidates`] narrows
+/// the partners to the pairs that reach refinement.
+#[derive(Debug)]
+pub struct JoinPartners<'a> {
+    forest: &'a Forest,
+    tau: u32,
+    sizes: Vec<u32>,
+    right: SizeRuns,
+    /// Trees on both sides: the partners a right-side `l` loses to the
+    /// mirror rule are exactly the ones before it here.
+    both: SizeRuns,
+    in_left: Vec<bool>,
+    in_right: Vec<bool>,
+    /// Every right-side tree is also a left-side tree (self-joins), so a
+    /// right-side `l` has no partner before it.
+    right_within_left: bool,
+}
+
+impl<'a> JoinPartners<'a> {
+    /// Buckets the `right` side of a `left × right` join at radius `tau`.
+    /// Neither side may list an id twice.
+    fn new(forest: &'a Forest, left: &[TreeId], right: &[TreeId], tau: u32) -> Self {
+        let sizes: Vec<u32> = forest.iter().map(|(_, t)| t.len() as u32).collect();
+        let mut in_left = vec![false; forest.len()];
+        for id in left {
+            in_left[id.index()] = true;
+        }
+        let mut in_right = vec![false; forest.len()];
+        for id in right {
+            in_right[id.index()] = true;
+        }
+        let both: Vec<TreeId> = right
+            .iter()
+            .copied()
+            .filter(|id| in_left[id.index()])
+            .collect();
+        JoinPartners {
+            forest,
+            tau,
+            right_within_left: both.len() == right.len(),
+            right: SizeRuns::new(right.to_vec(), &sizes),
+            both: SizeRuns::new(both, &sizes),
+            sizes,
+            in_left,
+            in_right,
+        }
+    }
+
+    /// The joined forest.
+    pub(crate) fn forest(&self) -> &'a Forest {
+        self.forest
+    }
+
+    /// The join radius τ.
+    pub(crate) fn tau(&self) -> u32 {
+        self.tau
+    }
+
+    /// The size window `|l| − τ ..= |l| + τ` of `left`'s partners.
+    fn window_sizes(&self, left: TreeId) -> (u32, u32) {
+        let size = self.sizes[left.index()];
+        (size.saturating_sub(self.tau), size.saturating_add(self.tau))
+    }
+
+    /// Whether `right` being before `left` rules it out by the mirror rule.
+    fn mirrored(&self, left: TreeId, right: TreeId) -> bool {
+        right < left && self.in_right[left.index()] && self.in_left[right.index()]
+    }
+
+    /// The smallest tree id that can be a partner of `left`: a self-join
+    /// starts after `left`, every other join at tree 0.
+    pub(crate) fn first_partner(&self, left: TreeId) -> TreeId {
+        if self.right_within_left && self.in_right[left.index()] {
+            TreeId(left.0.saturating_add(1))
+        } else {
+            TreeId(0)
+        }
+    }
+
+    /// Whether `right` is a partner of `left`.
+    pub(crate) fn admits(&self, left: TreeId, right: TreeId) -> bool {
+        let (lo, hi) = self.window_sizes(left);
+        (lo..=hi).contains(&self.sizes[right.index()])
+            && self.in_right[right.index()]
+            && right != left
+            && !self.mirrored(left, right)
+    }
+
+    /// Every partner of `left`, ascending by `(size, id)`.
+    pub(crate) fn window(&self, left: TreeId) -> impl Iterator<Item = TreeId> + '_ {
+        self.window_up_to(left, u32::MAX)
+    }
+
+    /// The partners of `left` whose size is at most `max_size`, ascending
+    /// by `(size, id)`.
+    pub(crate) fn window_up_to(
+        &self,
+        left: TreeId,
+        max_size: u32,
+    ) -> impl Iterator<Item = TreeId> + '_ {
+        let (lo, hi) = self.window_sizes(left);
+        let first = self.first_partner(left);
+        self.right
+            .window(lo, hi.min(max_size))
+            .flat_map(move |run| &run[run.partition_point(|&id| id < first)..])
+            .copied()
+            .filter(move |&right| right != left && !self.mirrored(left, right))
+    }
+
+    /// `left`'s partner count, from the run lengths alone: the window's
+    /// right-side trees, less `left` itself and, when `left` is on the
+    /// right side too, the trees on both sides before it.
+    fn count(&self, left: TreeId) -> usize {
+        let (lo, hi) = self.window_sizes(left);
+        let window: usize = self.right.window(lo, hi).map(<[TreeId]>::len).sum();
+        if !self.in_right[left.index()] {
+            return window;
+        }
+        let mirrored: usize = self
+            .both
+            .window(lo, hi)
+            .map(|run| run.partition_point(|&id| id < left))
+            .sum();
+        window - 1 - mirrored
+    }
+}
+
+/// Per-join scratch that [`Filter::join_candidates`] overrides reuse
+/// across rows, so a join allocates its lane table once.
+#[derive(Debug, Default)]
+pub struct JoinScratch {
+    /// Shared branch mass per tree id; all zero between rows.
+    pub(crate) mass: Vec<u64>,
+    /// The lanes the current row made nonzero.
+    pub(crate) touched: Vec<TreeId>,
+}
+
 fn join_partitions<F: Filter>(
     forest: &Forest,
     filter: &F,
     left: &[TreeId],
-    right: Option<&[TreeId]>,
+    right: &[TreeId],
     tau: u32,
 ) -> (Vec<JoinPair>, JoinStats) {
-    let sizes: Vec<u64> = forest.iter().map(|(_, t)| t.len() as u64).collect();
+    let sorted = |ids: &[TreeId]| {
+        let mut ids = ids.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    };
+    let left = sorted(left);
+    let partners = JoinPartners::new(forest, &left, &sorted(right), tau);
+    let mut scratch = JoinScratch::default();
+    let mut candidates: Vec<TreeId> = Vec::new();
     let mut infos: Vec<Option<TreeInfo>> = (0..forest.len()).map(|_| None).collect();
     let mut workspace = ZsWorkspace::new();
     let mut stats = JoinStats::default();
     let mut results = Vec::new();
 
-    // Overlapping cross-join partitions can present the same unordered
-    // pair in both orientations; membership masks detect that case so the
-    // mirrored copy is skipped before it is even counted.
-    let membership: Option<(Vec<bool>, Vec<bool>)> = right.map(|right_ids| {
-        let mut in_left = vec![false; forest.len()];
-        for &id in left {
-            in_left[id.index()] = true;
-        }
-        let mut in_right = vec![false; forest.len()];
-        for &id in right_ids {
-            in_right[id.index()] = true;
-        }
-        (in_left, in_right)
-    });
-
-    for (position, &l) in left.iter().enumerate() {
-        let query = filter.prepare_query(forest.tree(l));
-        // Self-join: only partners after `l` in the id list; cross-join:
-        // the whole right side.
-        let partners: &[TreeId] = match right {
-            Some(r) => r,
-            None => &left[position + 1..],
-        };
-        for &r in partners {
-            if r == l {
-                continue;
-            }
-            if let Some((in_left, in_right)) = &membership {
-                // Both orientations of this pair qualify for emission;
-                // keep only the `left < right` copy.
-                if l > r && in_right[l.index()] && in_left[r.index()] {
-                    continue;
-                }
-            }
-            // Trivial size pre-filter (EDist ≥ | |T1|−|T2| |).
-            if sizes[l.index()].abs_diff(sizes[r.index()]) > u64::from(tau) {
-                continue;
-            }
-            stats.pairs_considered += 1;
-            if filter.prunes_range(&query, r, tau) {
-                continue;
-            }
+    for &l in &left {
+        stats.pairs_considered += partners.count(l);
+        candidates.clear();
+        filter.join_candidates(&partners, l, &mut scratch, &mut candidates);
+        for &r in &candidates {
             stats.pairs_refined += 1;
             ensure_info(&mut infos, forest, l);
             ensure_info(&mut infos, forest, r);
@@ -318,14 +479,9 @@ fn join_partitions<F: Filter>(
             match refined {
                 Some(distance) => {
                     stats.pairs_joined += 1;
-                    let (a, b) = if right.is_none() && r < l {
-                        (r, l)
-                    } else {
-                        (l, r)
-                    };
                     results.push(JoinPair {
-                        left: a,
-                        right: b,
+                        left: l,
+                        right: r,
                         distance,
                     });
                 }
@@ -343,6 +499,13 @@ mod tests {
     use super::*;
     use crate::filter::{BiBranchFilter, BiBranchMode, HistogramFilter, NoFilter};
     use treesim_edit::edit_distance;
+
+    /// Serializes this module's tests: every one runs a join, and one of
+    /// them asserts exact deltas of the global `join.*` counters.
+    fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn forest() -> Forest {
         let mut forest = Forest::new();
@@ -377,6 +540,7 @@ mod tests {
 
     #[test]
     fn self_join_matches_brute_force() {
+        let _registry = registry_lock();
         let forest = forest();
         let filter = BiBranchFilter::build(&forest, 2, BiBranchMode::Positional);
         for tau in [0u32, 1, 2, 4] {
@@ -394,6 +558,7 @@ mod tests {
 
     #[test]
     fn zero_tau_finds_duplicates() {
+        let _registry = registry_lock();
         let forest = forest();
         let filter = BiBranchFilter::build(&forest, 2, BiBranchMode::Positional);
         let (pairs, _) = similarity_self_join(&forest, &filter, 0);
@@ -403,6 +568,7 @@ mod tests {
 
     #[test]
     fn filter_reduces_refinements() {
+        let _registry = registry_lock();
         let forest = forest();
         let bibranch = BiBranchFilter::build(&forest, 2, BiBranchMode::Positional);
         let none = NoFilter::build(&forest);
@@ -415,6 +581,7 @@ mod tests {
 
     #[test]
     fn cross_join_partitions() {
+        let _registry = registry_lock();
         let forest = forest();
         let filter = HistogramFilter::build(&forest);
         let left = [TreeId(0), TreeId(1)];
@@ -441,6 +608,7 @@ mod tests {
 
     #[test]
     fn empty_partitions() {
+        let _registry = registry_lock();
         let forest = forest();
         let filter = NoFilter::build(&forest);
         let (pairs, stats) = similarity_join(&forest, &filter, &[], &[TreeId(0)], 3);
@@ -451,6 +619,7 @@ mod tests {
 
     #[test]
     fn overlapping_partitions_dedup_and_skip_self_pairs() {
+        let _registry = registry_lock();
         let forest = forest();
         let filter = HistogramFilter::build(&forest);
         let left = [TreeId(0), TreeId(1), TreeId(2)];
@@ -503,6 +672,7 @@ mod tests {
 
     #[test]
     fn join_counts_cutoffs_and_records_registry_counters() {
+        let _registry = registry_lock();
         let forest = forest();
         let filter = NoFilter::build(&forest);
         let queries_before = treesim_obs::metrics::counter("join.queries").get();
@@ -531,6 +701,7 @@ mod tests {
 
     #[test]
     fn closest_pairs_match_brute_force() {
+        let _registry = registry_lock();
         let forest = forest();
         let filter = BiBranchFilter::build(&forest, 2, BiBranchMode::Positional);
         // Brute-force all pair distances.
@@ -560,6 +731,7 @@ mod tests {
 
     #[test]
     fn closest_pairs_edge_cases() {
+        let _registry = registry_lock();
         let forest = forest();
         let filter = NoFilter::build(&forest);
         assert!(closest_pairs(&forest, &filter, 0).0.is_empty());

@@ -8,7 +8,7 @@
 
 use treesim::datagen::dblp::{generate_forest, DblpConfig};
 use treesim::prelude::*;
-use treesim::search::{similarity_self_join, threshold_clusters};
+use treesim::search::{similarity_self_join, threshold_clusters, PostingsFilter};
 
 fn main() {
     // A corpus of bibliographic records containing clusters of
@@ -26,7 +26,7 @@ fn main() {
 
     // ── 1. τ-self-join: candidate duplicate pairs. ───────────────────────
     let tau = 2u32;
-    let filter = BiBranchFilter::build(&forest, 2, BiBranchMode::Positional);
+    let filter = PostingsFilter::build(&forest, 2);
     let (pairs, stats) = similarity_self_join(&forest, &filter, tau);
     println!(
         "\nself-join at τ = {tau}: {} duplicate pairs found",
