@@ -13,7 +13,6 @@ use treesim_datagen::normal::Normal;
 use treesim_datagen::synthetic::{generate, SyntheticConfig};
 use treesim_search::{
     BiBranchFilter, BiBranchMode, HistogramFilter, MaxFilter, PostingsFilter, SearchEngine,
-    ShardedEngine, ShardedForest,
 };
 use treesim_tree::Forest;
 
@@ -265,23 +264,21 @@ pub fn cascade_ablation(scale: &Scale) -> Table {
     table
 }
 
-/// Ablation G: the dense/SIMD kernel paths vs the sparse originals.
+/// Ablation G: the dense kernel paths vs the sparse originals.
 ///
-/// Micro-benchmarks the three `BDist` kernel paths (the sparse SoA merge,
-/// the arena lookup with the scalar accumulator, and the explicitly
-/// chunked 8-lane accumulator) plus the hot-path dispatch, and the two
+/// Micro-benchmarks the two `BDist` kernel paths (the sparse SoA merge and
+/// the hot path's arena lookup against a dense query table) and the two
 /// stage −1 postings merges (k-way heap vs dense scatter), on the same
 /// query × dataset sweep — asserting bit-identical checksums across every
 /// variant. The engine rows then report the per-stage µs the batched
 /// arena-order sweeps actually achieve end to end.
-pub fn simd_kernel_ablation(scale: &Scale) -> Table {
+pub fn kernel_ablation(scale: &Scale) -> Table {
     use std::hint::black_box;
-    use treesim_core::dense::{shared_mass_lookup_chunked, shared_mass_lookup_scalar};
     use treesim_core::{DenseQuery, InvertedFileIndex, VectorArena};
 
     let mut table = Table::new(
-        "ablation-simd",
-        "Ablation: dense/SIMD kernels vs sparse originals (synthetic, q=2)",
+        "ablation-kernels",
+        "Ablation: dense kernels vs sparse originals (synthetic, q=2)",
         &["kernel", "calls", "total µs", "checksum"],
     );
     let forest = synthetic(scale);
@@ -325,31 +322,10 @@ pub fn simd_kernel_ablation(scale: &Scale) -> Table {
     let sparse = time_sweep("bdist sparse SoA merge", &mut |qi, raw| {
         vectors[query_ids[qi].index()].bdist(&vectors[raw as usize])
     });
-    let lookup_bdist = |qi: usize, raw: u32, mass: u64| {
-        dense_queries[qi].total() + u64::from(arena.tree_size(raw)) - 2 * mass
-    };
-    let scalar = time_sweep("bdist arena lookup (scalar)", &mut |qi, raw| {
-        let (ids, counts) = arena.tree_entries(raw);
-        lookup_bdist(
-            qi,
-            raw,
-            shared_mass_lookup_scalar(dense_queries[qi].lookup(), ids, counts),
-        )
-    });
-    let chunked = time_sweep("bdist arena lookup (chunked x8)", &mut |qi, raw| {
-        let (ids, counts) = arena.tree_entries(raw);
-        lookup_bdist(
-            qi,
-            raw,
-            shared_mass_lookup_chunked(dense_queries[qi].lookup(), ids, counts),
-        )
-    });
-    let dispatch = time_sweep("bdist arena dispatch (hot path)", &mut |qi, raw| {
+    let dense = time_sweep("bdist arena lookup (hot path)", &mut |qi, raw| {
         arena.bdist(raw, &dense_queries[qi])
     });
-    assert_eq!(sparse, scalar, "scalar lookup kernel diverged");
-    assert_eq!(sparse, chunked, "chunked lookup kernel diverged");
-    assert_eq!(sparse, dispatch, "dispatched kernel diverged");
+    assert_eq!(sparse, dense, "arena lookup kernel diverged");
 
     // The stage −1 postings merge: k-way heap (the sparse original) vs the
     // dense scatter that replaced it, over the same per-query run sets.
@@ -430,19 +406,9 @@ pub fn simd_kernel_ablation(scale: &Scale) -> Table {
                 .join("; ")
         ));
     }
-    table.push_note(format!(
-        "all kernel variants are asserted bit-identical (equal checksums); the hot-path dispatch compiled to the {} kernel in this build (simd feature {}); merge rows time one whole k-way merge per query",
-        if treesim_core::dense::SIMD_DISPATCH {
-            "chunked 8-lane"
-        } else {
-            "scalar"
-        },
-        if treesim_core::dense::SIMD_DISPATCH {
-            "on"
-        } else {
-            "off"
-        },
-    ));
+    table.push_note(
+        "all kernel variants are asserted bit-identical (equal checksums); merge rows time one whole k-way merge per query",
+    );
     table
 }
 
@@ -460,22 +426,18 @@ fn push_funnel_rows(table: &mut Table, engine: &str, workload: &str, summary: &M
     }
 }
 
-/// Ablation E: the inverted-list stage −1 candidate generator, and shard
-/// scaling.
+/// Ablation E: the inverted-list stage −1 candidate generator.
 ///
 /// Side-by-side funnels of the plain positional cascade (size → bdist →
 /// propt) and the postings-fronted cascade (postings → size → bdist →
 /// propt) on the same workload. Because the stage −1 bound equals the
 /// exact BDist bound and runs *first*, every candidate it prunes never
 /// reaches the `bdist` merge: `bdist` avg bounds must not exceed the
-/// plain cascade's, with identical results. The shard rows then answer
-/// the same k-NN workload through [`ShardedEngine`] at S ∈ {1, 2, 4},
-/// reporting wall-clock for the whole query set (per-query work is
-/// identical; only wall-clock drops with more cores).
+/// plain cascade's, with identical results.
 pub fn postings_ablation(scale: &Scale) -> Table {
     let mut table = Table::new(
         "ablation-postings",
-        "Ablation: inverted-list stage -1 (postings) and shard scaling",
+        "Ablation: inverted-list stage -1 (postings)",
         &[
             "engine",
             "workload",
@@ -505,34 +467,9 @@ pub fn postings_ablation(scale: &Scale) -> Table {
         push_funnel_rows(&mut table, "Postings", &workload, &fronted);
     }
 
-    // Shard scaling: identical answers, wall-clock split across workers.
-    let queries: Vec<&treesim_tree::Tree> = query_ids.iter().map(|&id| forest.tree(id)).collect();
-    let reference: Vec<_> = queries
-        .iter()
-        .map(|q| postings_engine.knn(q, k).0)
-        .collect();
-    for shards in [1usize, 2, 4] {
-        let sharded_forest = ShardedForest::split(&forest, shards);
-        let sharded = ShardedEngine::new(&sharded_forest, |s| PostingsFilter::build(s, 2));
-        let start = std::time::Instant::now();
-        let answers: Vec<_> = queries.iter().map(|q| sharded.knn(q, k).0).collect();
-        let wall = start.elapsed();
-        assert_eq!(answers, reference, "sharded results diverged at S={shards}");
-        table.push_row(vec![
-            format!("sharded ×{shards}"),
-            format!("knn k={k}"),
-            "all".to_owned(),
-            "-".to_owned(),
-            "-".to_owned(),
-            ms(wall),
-        ]);
-    }
-
     table.push_note(format!(
-        "dataset = {} trees; stage -1 prunes before the ⌈BDist/5⌉ merge, so the Postings engine's bdist avg bounds must not exceed BiBranch's; sharded rows are total wall-clock for {} k-NN queries, results identical at every S ({} core(s) available)",
+        "dataset = {} trees; stage -1 prunes before the ⌈BDist/5⌉ merge, so the Postings engine's bdist avg bounds must not exceed BiBranch's",
         forest.len(),
-        queries.len(),
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     ));
     table
 }
@@ -630,8 +567,8 @@ mod tests {
     #[test]
     fn postings_ablation_demonstrates_bdist_savings() {
         let table = postings_ablation(&Scale::smoke());
-        // 2 workloads × (3 BiBranch stages + 4 Postings stages) + 3 shard rows.
-        assert_eq!(table.rows.len(), 17);
+        // 2 workloads × (3 BiBranch stages + 4 Postings stages).
+        assert_eq!(table.rows.len(), 14);
         // Range workload (deterministic sweep): the stage −1 generator
         // prunes before the ⌈BDist/5⌉ merge, so the Postings engine
         // evaluates strictly fewer bdist bounds than the plain cascade.
@@ -650,14 +587,6 @@ mod tests {
             fronted < plain,
             "postings saved no bdist work: {fronted} vs {plain}"
         );
-        // The shard rows cover S = 1, 2, 4 (result equality is asserted
-        // inside postings_ablation itself).
-        let shard_rows = table
-            .rows
-            .iter()
-            .filter(|r| r[0].starts_with("sharded"))
-            .count();
-        assert_eq!(shard_rows, 3);
     }
 
     #[test]
@@ -692,18 +621,17 @@ mod tests {
     }
 
     #[test]
-    fn simd_ablation_kernels_are_bit_identical() {
-        let table = simd_kernel_ablation(&Scale::smoke());
-        // 4 bdist kernel rows + 2 merge rows + 2 workloads × 4 postings
+    fn kernel_ablation_kernels_are_bit_identical() {
+        let table = kernel_ablation(&Scale::smoke());
+        // 2 bdist kernel rows + 2 merge rows + 2 workloads × 4 postings
         // cascade stages.
-        assert_eq!(table.rows.len(), 14);
-        // Bit-identity across every bdist kernel path: equal checksums
+        assert_eq!(table.rows.len(), 12);
+        // Bit-identity across both bdist kernel paths: equal checksums
         // (the function itself asserts; the table must show it too).
-        let checksums: Vec<&String> = table.rows.iter().take(4).map(|row| &row[3]).collect();
-        assert!(checksums.iter().all(|&c| c == checksums[0]));
+        assert_eq!(table.rows[0][3], table.rows[1][3]);
         // …and across the two postings merges.
-        assert_eq!(table.rows[4][3], table.rows[5][3]);
-        // The per-stage µs deltas ride in the notes, plus the dispatch note.
+        assert_eq!(table.rows[2][3], table.rows[3][3]);
+        // The per-stage µs deltas ride in the notes, plus the identity note.
         assert!(table.notes.iter().any(|n| n.contains("per-stage µs")));
         assert!(table.notes.iter().any(|n| n.contains("bit-identical")));
     }

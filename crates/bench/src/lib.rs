@@ -44,7 +44,7 @@ pub fn run_figure(id: &str, scale: &Scale) -> Option<Table> {
         "ablation-cascade" => experiments::ablation::cascade_ablation(scale),
         "ablation-postings" => experiments::ablation::postings_ablation(scale),
         "ablation-histo" => experiments::ablation::histo_stage_ablation(scale),
-        "ablation-simd" => experiments::ablation::simd_kernel_ablation(scale),
+        "ablation-kernels" => experiments::ablation::kernel_ablation(scale),
         _ => return None,
     };
     Some(table)
@@ -63,7 +63,7 @@ pub const ABLATIONS: [&str; 7] = [
     "ablation-cascade",
     "ablation-postings",
     "ablation-histo",
-    "ablation-simd",
+    "ablation-kernels",
 ];
 
 #[cfg(test)]

@@ -42,6 +42,11 @@ impl Args {
         self.positional.get(index).map(String::as_str)
     }
 
+    /// Names of the flags given, without the leading dashes.
+    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(String::as_str)
+    }
+
     /// Number of positionals.
     #[cfg(test)]
     pub fn positional_len(&self) -> usize {

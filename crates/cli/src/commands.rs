@@ -6,7 +6,7 @@ use treesim_datagen::synthetic::{self, SyntheticConfig};
 use treesim_edit::edit_distance;
 use treesim_search::{
     BiBranchFilter, BiBranchMode, HistogramFilter, Neighbor, NoFilter, PostingsFilter,
-    SearchEngine, SearchStats, ShardedEngine, ShardedForest,
+    SearchEngine, SearchStats,
 };
 use treesim_tree::{Forest, Tree};
 
@@ -25,14 +25,14 @@ USAGE:
   treesim stats  FILE
   treesim dist   TREE1 TREE2            (bracket notation, shared labels)
   treesim knn    FILE --query TREE [--k 5]   [--filter bibranch|postings|plain|histo|none]
-                        [--level 2] [--index IDX.tsi] [--shards 1]
+                        [--level 2] [--index IDX.tsi]
   treesim range  FILE --query TREE [--tau 3] [--filter bibranch|postings|plain|histo|none]
-                        [--level 2] [--index IDX.tsi] [--shards 1]
+                        [--level 2] [--index IDX.tsi]
   treesim join   FILE [--tau 2] [--limit 20]  (approximate self-join / dedup)
   treesim explain FILE --query TREE [--k 5 | --tau T] [--filter ...] [--level 2]
-                        [--shards 1] [--limit 40]   (per-candidate cascade EXPLAIN table)
+                        [--limit 40]   (per-candidate cascade EXPLAIN table)
   treesim trace  FILE --query TREE [--k 5 | --tau T] [--filter ...] [--level 2]
-                        [--shards 1]   (answer one query, print its span tree)
+                        [--index IDX.tsi]   (answer one query, print its span tree)
   treesim slo                           (evaluate the SLO targets against the live
                         5 m / 1 h windows, print the burn-rate table)
   treesim serve-metrics [FILE] [--addr 127.0.0.1:9891] [--warm 25] [--k 5]
@@ -43,9 +43,8 @@ USAGE:
   treesim help
 
 Filters: `bibranch` is the paper's positional cascade; `postings` fronts it
-with the inverted-list stage -1 candidate generator. `--shards S` (S > 1)
-partitions the dataset and answers on every shard concurrently — results
-are identical, the printed funnel is the per-shard sum.
+with the inverted-list stage -1 candidate generator. A flag that the
+command does not read is an error.
 
 Observability (any command):
   --trace pretty|json     stream span/event traces to stderr
@@ -68,7 +67,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     // evaluation afterwards windows exactly this invocation's traffic
     // (the first tick on a fresh ring only records the starting point).
     treesim_obs::window::global().tick();
-    let outcome = match command {
+    let outcome = check_flags(command, &args).and_then(|()| match command {
         "help" | "--help" | "-h" => {
             println!("{HELP}");
             Ok(())
@@ -87,7 +86,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "slo" => slo_report(&args),
         "serve-metrics" => serve_metrics(&args),
         other => Err(format!("unknown command {other:?}")),
-    };
+    });
     if outcome.is_err() {
         // Count the failure against the op's error budget so the SLO
         // engine's error-rate objectives see driver-level failures too.
@@ -106,6 +105,62 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         write_metrics(path)?;
     }
     outcome
+}
+
+/// Flags every command accepts: the observability switches.
+const GLOBAL_FLAGS: [&str; 2] = ["trace", "metrics"];
+
+/// The flags `command` reads besides [`GLOBAL_FLAGS`]; `None` for an
+/// unknown command.
+fn command_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "help" | "--help" | "-h" | "convert" | "stats" | "dist" | "slo" => &[],
+        "gen-synthetic" => &[
+            "out",
+            "trees",
+            "fanout",
+            "fanout-sd",
+            "size",
+            "size-sd",
+            "labels",
+            "decay",
+            "seeds",
+            "seed",
+        ],
+        "gen-dblp" => &["out", "records", "seed"],
+        "index" => &["out", "level"],
+        "knn" => &["query", "k", "filter", "level", "index"],
+        "range" => &["query", "tau", "filter", "level", "index"],
+        "join" => &["tau", "limit"],
+        "explain" => &["query", "k", "tau", "filter", "level", "limit"],
+        "trace" => &["query", "k", "tau", "filter", "level", "index"],
+        "serve-metrics" => &[
+            "addr",
+            "warm",
+            "k",
+            "trace-weight-budget",
+            "trace-sample-every",
+            "trace-slo-us",
+        ],
+        _ => return None,
+    })
+}
+
+/// Rejects a flag that `command` does not read, so a mistyped flag fails
+/// instead of silently leaving its default in place. Unknown commands
+/// pass here and are reported by [`dispatch`].
+fn check_flags(command: &str, args: &Args) -> Result<(), String> {
+    let Some(accepted) = command_flags(command) else {
+        return Ok(());
+    };
+    let unknown = args
+        .flag_names()
+        .filter(|name| !GLOBAL_FLAGS.contains(name) && !accepted.contains(name))
+        .min();
+    match unknown {
+        Some(name) => Err(format!("{command} does not accept --{name}")),
+        None => Ok(()),
+    }
 }
 
 /// Maps a CLI command onto the cataloged operation its failure should
@@ -366,77 +421,37 @@ fn search(args: &Args, kind: SearchKind) -> Result<(), String> {
         }
         None => None,
     };
-    let shards = args.get_or("shards", 1usize)?;
-    if shards == 0 {
-        return Err("--shards must be ≥ 1".into());
-    }
-    let (results, stats) = if shards > 1 {
-        if prebuilt_index.is_some() {
-            return Err(
-                "--index cannot be combined with --shards (each shard builds its own in-memory index)"
-                    .into(),
-            );
+    let (results, stats) = match filter_name {
+        "bibranch" => {
+            let filter = match &prebuilt_index {
+                Some(index) => BiBranchFilter::from_index(index, BiBranchMode::Positional),
+                None => BiBranchFilter::build(&forest, level, BiBranchMode::Positional),
+            };
+            run(&forest, filter, &query, args, &kind)?
         }
-        let sharded = ShardedForest::split(&forest, shards);
-        match filter_name {
-            "bibranch" => run_sharded(
-                &sharded,
-                |shard| BiBranchFilter::build(shard, level, BiBranchMode::Positional),
-                &query,
-                args,
-                &kind,
-            )?,
-            "plain" => run_sharded(
-                &sharded,
-                |shard| BiBranchFilter::build(shard, level, BiBranchMode::Plain),
-                &query,
-                args,
-                &kind,
-            )?,
-            "postings" => run_sharded(
-                &sharded,
-                |shard| PostingsFilter::build(shard, level),
-                &query,
-                args,
-                &kind,
-            )?,
-            "histo" => run_sharded(&sharded, HistogramFilter::build, &query, args, &kind)?,
-            "none" => run_sharded(&sharded, NoFilter::build, &query, args, &kind)?,
-            other => return Err(format!("unknown filter {other:?}")),
+        "plain" => {
+            let filter = match &prebuilt_index {
+                Some(index) => BiBranchFilter::from_index(index, BiBranchMode::Plain),
+                None => BiBranchFilter::build(&forest, level, BiBranchMode::Plain),
+            };
+            run(&forest, filter, &query, args, &kind)?
         }
-    } else {
-        match filter_name {
-            "bibranch" => {
-                let filter = match &prebuilt_index {
-                    Some(index) => BiBranchFilter::from_index(index, BiBranchMode::Positional),
-                    None => BiBranchFilter::build(&forest, level, BiBranchMode::Positional),
-                };
-                run(&forest, filter, &query, args, &kind)?
-            }
-            "plain" => {
-                let filter = match &prebuilt_index {
-                    Some(index) => BiBranchFilter::from_index(index, BiBranchMode::Plain),
-                    None => BiBranchFilter::build(&forest, level, BiBranchMode::Plain),
-                };
-                run(&forest, filter, &query, args, &kind)?
-            }
-            "postings" => {
-                let filter = match &prebuilt_index {
-                    Some(index) => PostingsFilter::from_index(index.clone()),
-                    None => PostingsFilter::build(&forest, level),
-                };
-                run(&forest, filter, &query, args, &kind)?
-            }
-            "histo" => run(
-                &forest,
-                HistogramFilter::build(&forest),
-                &query,
-                args,
-                &kind,
-            )?,
-            "none" => run(&forest, NoFilter::build(&forest), &query, args, &kind)?,
-            other => return Err(format!("unknown filter {other:?}")),
+        "postings" => {
+            let filter = match &prebuilt_index {
+                Some(index) => PostingsFilter::from_index(index.clone()),
+                None => PostingsFilter::build(&forest, level),
+            };
+            run(&forest, filter, &query, args, &kind)?
         }
+        "histo" => run(
+            &forest,
+            HistogramFilter::build(&forest),
+            &query,
+            args,
+            &kind,
+        )?,
+        "none" => run(&forest, NoFilter::build(&forest), &query, args, &kind)?,
+        other => return Err(format!("unknown filter {other:?}")),
     };
 
     for neighbor in &results {
@@ -468,22 +483,6 @@ fn run<F: treesim_search::Filter>(
     })
 }
 
-/// Like [`run`], but over a sharded forest: one engine per shard, the
-/// query answered on every shard concurrently and the heaps merged.
-fn run_sharded<F: treesim_search::Filter + Send + Sync>(
-    sharded: &ShardedForest,
-    build: impl Fn(&Forest) -> F + Sync,
-    query: &Tree,
-    args: &Args,
-    kind: &SearchKind,
-) -> Result<(Vec<Neighbor>, SearchStats), String> {
-    let engine = ShardedEngine::new(sharded, build);
-    Ok(match kind {
-        SearchKind::Knn => engine.knn(query, args.get_or("k", 5usize)?),
-        SearchKind::Range => engine.range(query, args.get_or("tau", 3u32)?),
-    })
-}
-
 /// `treesim explain`: replay one query with the recording observer and
 /// print the per-candidate cascade table. `--tau T` explains a range
 /// query; otherwise `--k` (default 5) explains a k-NN query.
@@ -497,56 +496,23 @@ fn explain(args: &Args) -> Result<(), String> {
         return Err("--level must be ≥ 2".into());
     }
     let limit = args.get_or("limit", 40usize)?;
-    let shards = args.get_or("shards", 1usize)?;
-    if shards == 0 {
-        return Err("--shards must be ≥ 1".into());
-    }
-    let report = if shards > 1 {
-        let sharded = ShardedForest::split(&forest, shards);
-        match filter_name {
-            "bibranch" => explain_sharded(
-                &sharded,
-                |shard| BiBranchFilter::build(shard, level, BiBranchMode::Positional),
-                &query,
-                args,
-            )?,
-            "plain" => explain_sharded(
-                &sharded,
-                |shard| BiBranchFilter::build(shard, level, BiBranchMode::Plain),
-                &query,
-                args,
-            )?,
-            "postings" => explain_sharded(
-                &sharded,
-                |shard| PostingsFilter::build(shard, level),
-                &query,
-                args,
-            )?,
-            "histo" => explain_sharded(&sharded, HistogramFilter::build, &query, args)?,
-            "none" => explain_sharded(&sharded, NoFilter::build, &query, args)?,
-            other => return Err(format!("unknown filter {other:?}")),
-        }
-    } else {
-        match filter_name {
-            "bibranch" => explain_with(
-                &forest,
-                BiBranchFilter::build(&forest, level, BiBranchMode::Positional),
-                &query,
-                args,
-            )?,
-            "plain" => explain_with(
-                &forest,
-                BiBranchFilter::build(&forest, level, BiBranchMode::Plain),
-                &query,
-                args,
-            )?,
-            "postings" => {
-                explain_with(&forest, PostingsFilter::build(&forest, level), &query, args)?
-            }
-            "histo" => explain_with(&forest, HistogramFilter::build(&forest), &query, args)?,
-            "none" => explain_with(&forest, NoFilter::build(&forest), &query, args)?,
-            other => return Err(format!("unknown filter {other:?}")),
-        }
+    let report = match filter_name {
+        "bibranch" => explain_with(
+            &forest,
+            BiBranchFilter::build(&forest, level, BiBranchMode::Positional),
+            &query,
+            args,
+        )?,
+        "plain" => explain_with(
+            &forest,
+            BiBranchFilter::build(&forest, level, BiBranchMode::Plain),
+            &query,
+            args,
+        )?,
+        "postings" => explain_with(&forest, PostingsFilter::build(&forest, level), &query, args)?,
+        "histo" => explain_with(&forest, HistogramFilter::build(&forest), &query, args)?,
+        "none" => explain_with(&forest, NoFilter::build(&forest), &query, args)?,
+        other => return Err(format!("unknown filter {other:?}")),
     };
     print!("{}", report.render(limit));
     // The EXPLAIN contract: per-candidate verdicts telescope exactly to
@@ -569,21 +535,6 @@ fn explain_with<F: treesim_search::Filter>(
     args: &Args,
 ) -> Result<treesim_search::ExplainReport, String> {
     let engine = SearchEngine::new(forest, filter);
-    Ok(match args.get("tau") {
-        Some(_) => engine.explain_range(query, args.get_or("tau", 3u32)?),
-        None => engine.explain_knn(query, args.get_or("k", 5usize)?),
-    })
-}
-
-/// [`explain_with`] over a sharded forest: per-shard EXPLAIN observers,
-/// stitched into one globally-indexed report.
-fn explain_sharded<F: treesim_search::Filter + Send + Sync>(
-    sharded: &ShardedForest,
-    build: impl Fn(&Forest) -> F + Sync,
-    query: &Tree,
-    args: &Args,
-) -> Result<treesim_search::ExplainReport, String> {
-    let engine = ShardedEngine::new(sharded, build);
     Ok(match args.get("tau") {
         Some(_) => engine.explain_range(query, args.get_or("tau", 3u32)?),
         None => engine.explain_knn(query, args.get_or("k", 5usize)?),
@@ -963,18 +914,14 @@ mod tests {
         assert!(treesim_obs::trace::retained()
             .iter()
             .any(|t| t.root() == "engine.knn"));
-        // A τ makes it a range query; sharded queries trace too, with the
-        // shard workers joining the coordinator's tree.
+        // A τ makes it a range query.
         dispatch(&argv(&[
-            "trace", data_str, "--query", "a(b c)", "--tau", "2", "--shards", "2",
+            "trace", data_str, "--query", "a(b c)", "--tau", "2",
         ]))
         .unwrap();
-        let sharded = treesim_obs::trace::retained()
-            .into_iter()
-            .rev()
-            .find(|t| t.root() == "shard.range")
-            .expect("sharded trace retained");
-        assert!(sharded.spans.iter().any(|s| s.name == "shard.worker"));
+        assert!(treesim_obs::trace::retained()
+            .iter()
+            .any(|t| t.root() == "engine.range"));
         assert!(dispatch(&argv(&["trace"])).is_err());
         std::fs::remove_file(&data).ok();
     }
@@ -1075,7 +1022,7 @@ mod tests {
     }
 
     #[test]
-    fn postings_filter_and_sharded_search() {
+    fn postings_filter_search() {
         let dir = std::env::temp_dir().join("treesim-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("postings.trees");
@@ -1085,23 +1032,18 @@ mod tests {
         )
         .unwrap();
         let data_str = data.to_str().unwrap();
-        // The postings cascade answers both query kinds, single and sharded.
+        // The postings cascade answers both query kinds and EXPLAIN, which
+        // runs its consistency check inside dispatch.
         dispatch(&argv(&[
             "knn", data_str, "--query", "a(b c)", "--k", "3", "--filter", "postings",
         ]))
         .unwrap();
         dispatch(&argv(&[
             "range", data_str, "--query", "a(b c)", "--tau", "2", "--filter", "postings",
-            "--shards", "3",
         ]))
         .unwrap();
         dispatch(&argv(&[
-            "knn", data_str, "--query", "a(b c)", "--k", "2", "--shards", "2",
-        ]))
-        .unwrap();
-        // Sharded EXPLAIN runs its consistency check inside dispatch.
-        dispatch(&argv(&[
-            "explain", data_str, "--query", "a(b c)", "--filter", "postings", "--shards", "3",
+            "explain", data_str, "--query", "a(b c)", "--filter", "postings",
         ]))
         .unwrap();
         // A prebuilt index drives the postings filter too.
@@ -1124,25 +1066,63 @@ mod tests {
             index.to_str().unwrap(),
         ]))
         .unwrap();
-        // Invalid shard counts / flag combinations are rejected.
-        assert!(dispatch(&argv(&["knn", data_str, "--query", "a", "--shards", "0"])).is_err());
-        assert!(dispatch(&argv(&[
-            "knn",
-            data_str,
-            "--query",
-            "a",
-            "--shards",
-            "2",
-            "--index",
-            index.to_str().unwrap(),
-        ]))
-        .is_err());
-        assert!(dispatch(&argv(&[
-            "explain", data_str, "--query", "a", "--shards", "0"
-        ]))
-        .is_err());
         std::fs::remove_file(&data).ok();
         std::fs::remove_file(&index).ok();
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let dir = std::env::temp_dir().join("treesim-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("flags.trees");
+        std::fs::write(&data, "a(b c)\na(b d)\nx(y z)\n").unwrap();
+        let data_str = data.to_str().unwrap();
+        for (command, flag) in [("knn", "--shards"), ("range", "--tua"), ("explain", "--kk")] {
+            let err =
+                dispatch(&argv(&[command, data_str, "--query", "a(b c)", flag, "1"])).unwrap_err();
+            assert!(err.contains(command) && err.contains(flag), "{err}");
+        }
+        // A flag that belongs to another command is unknown here too.
+        assert!(dispatch(&argv(&["knn", data_str, "--query", "a", "--tau", "1"])).is_err());
+        assert!(dispatch(&argv(&["dist", "a", "a", "--k", "1"])).is_err());
+        std::fs::remove_file(&data).ok();
+    }
+
+    /// Every flag the usage text shows is accepted by the command it is
+    /// shown for, and the observability flags by every command.
+    #[test]
+    fn usage_flags_are_accepted() {
+        let usage = HELP
+            .split_once("USAGE:\n")
+            .and_then(|(_, rest)| rest.split_once("\n\n"))
+            .map(|(usage, _)| usage)
+            .unwrap();
+        let mut command = "";
+        let mut checked = 0;
+        for line in usage.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("treesim ") {
+                command = rest.split_whitespace().next().unwrap();
+            }
+            let accepted = command_flags(command)
+                .unwrap_or_else(|| panic!("usage names unknown command {command:?}"));
+            for token in line.split(|c: char| c.is_whitespace() || "[]|()".contains(c)) {
+                let Some(name) = token.strip_prefix("--") else {
+                    continue;
+                };
+                assert!(
+                    accepted.contains(&name),
+                    "usage shows --{name} for {command}, which rejects it"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 30, "only {checked} usage flags found");
+        for flag in GLOBAL_FLAGS {
+            assert!(
+                HELP.contains(&format!("--{flag} ")),
+                "--{flag} is not documented"
+            );
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ where
 /// The original `BinaryHeap` k-way formulation of [`merge_shared_mass`],
 /// kept as the allocation-free-per-tree reference: property tests and the
 /// `strict-checks` assertions in the index paths compare the dense scatter
-/// kernel against it, and the `ablation-simd` bench reports both.
+/// kernel against it, and the `ablation-kernels` bench reports both.
 pub fn merge_shared_mass_sparse<I>(runs: Vec<(u32, I)>) -> Vec<(TreeId, u64)>
 where
     I: Iterator<Item = (TreeId, u32)>,

@@ -22,8 +22,8 @@
 /// means adding its prefix here *and* documenting it in the README
 /// Observability table — the analyzer rejects unknown prefixes.
 pub const KNOWN_PREFIXES: &[&str] = &[
-    "cascade", "refine", "engine", "batch", "dynamic", "recorder", "server", "shard", "join",
-    "cluster", "classify", "trace", "model", "analyze", "slo", "window", "arena",
+    "cascade", "refine", "engine", "batch", "dynamic", "recorder", "server", "join", "cluster",
+    "classify", "trace", "model", "analyze", "slo", "window", "arena",
 ];
 
 /// The namespace reserved for metrics created inside `#[cfg(test)]` code
@@ -180,8 +180,6 @@ mod tests {
             "cascade.batch.evaluated",
             "arena.trees",
             "arena.entries",
-            "shard.knn.queries",
-            "shard.workers.active",
             "refine.zs.nodes",
             "refine.bounded.cutoffs",
             "refine.bounded.bands_skipped",
@@ -196,7 +194,7 @@ mod tests {
             "recorder.recorded",
             "recorder.overwritten",
             "recorder.dropped.knn",
-            "recorder.dropped.sharded_range",
+            "recorder.dropped.dynamic_range",
             "server.requests",
             "cluster.queries",
             "cluster.clusters",
@@ -252,6 +250,10 @@ mod tests {
         assert_eq!(
             validate_metric_name("widget.count", false),
             Err(NameError::UnknownPrefix("widget".to_owned()))
+        );
+        assert_eq!(
+            validate_metric_name("shard.merge", false),
+            Err(NameError::UnknownPrefix("shard".to_owned()))
         );
         assert_eq!(
             validate_metric_name("cascade.warp.evaluated", false),

@@ -61,21 +61,15 @@ pub enum QueryKind {
     DynamicKnn,
     /// `DynamicIndex::range`.
     DynamicRange,
-    /// `ShardedEngine::knn` (one record for the merged query).
-    ShardedKnn,
-    /// `ShardedEngine::range` (one record for the merged query).
-    ShardedRange,
 }
 
 impl QueryKind {
     /// Every kind, in [`QueryKind::index`] order.
-    pub const ALL: [QueryKind; 6] = [
+    pub const ALL: [QueryKind; 4] = [
         QueryKind::Knn,
         QueryKind::Range,
         QueryKind::DynamicKnn,
         QueryKind::DynamicRange,
-        QueryKind::ShardedKnn,
-        QueryKind::ShardedRange,
     ];
 
     /// Stable lowercase label used in JSON output.
@@ -85,8 +79,6 @@ impl QueryKind {
             QueryKind::Range => "range",
             QueryKind::DynamicKnn => "dynamic_knn",
             QueryKind::DynamicRange => "dynamic_range",
-            QueryKind::ShardedKnn => "sharded_knn",
-            QueryKind::ShardedRange => "sharded_range",
         }
     }
 
@@ -97,8 +89,6 @@ impl QueryKind {
             QueryKind::Range => 1,
             QueryKind::DynamicKnn => 2,
             QueryKind::DynamicRange => 3,
-            QueryKind::ShardedKnn => 4,
-            QueryKind::ShardedRange => 5,
         }
     }
 }
@@ -445,8 +435,6 @@ fn dropped_counter(kind: QueryKind) -> &'static crate::metrics::Counter {
         QueryKind::Range => crate::counter!("recorder.dropped.range"),
         QueryKind::DynamicKnn => crate::counter!("recorder.dropped.dynamic_knn"),
         QueryKind::DynamicRange => crate::counter!("recorder.dropped.dynamic_range"),
-        QueryKind::ShardedKnn => crate::counter!("recorder.dropped.sharded_knn"),
-        QueryKind::ShardedRange => crate::counter!("recorder.dropped.sharded_range"),
     }
 }
 

@@ -11,8 +11,8 @@
 //! deposits one [`TraceSpan`] carrying its parent span id, so the flat
 //! deposit order reassembles into the query's call tree. Worker threads
 //! join the same trace through a [`TraceHandle`] captured before spawn
-//! and installed with the worker's `pid` (shard) / `tid` (worker) — the
-//! same propagation idiom as [`crate::recorder::BatchContext`].
+//! and installed with the worker's `tid` — the same propagation idiom
+//! as [`crate::recorder::BatchContext`].
 //!
 //! # Sampling: capture always, retain selectively
 //!
@@ -92,8 +92,6 @@ pub struct TraceSpan {
     pub start_us: u64,
     /// Wall-clock duration in microseconds.
     pub dur_us: u64,
-    /// Shard index of the thread that ran the span (0 = unsharded).
-    pub pid: u32,
     /// Worker index of the thread that ran the span (0 = coordinator).
     pub tid: u32,
     /// Formatted `key = value` fields attached to the span.
@@ -179,7 +177,8 @@ impl Trace {
                     ("ph", Json::Str("X".to_owned())),
                     ("ts", Json::U64(s.start_us)),
                     ("dur", Json::U64(s.dur_us)),
-                    ("pid", Json::U64(u64::from(s.pid))),
+                    // One process: Chrome's `pid` row is constant.
+                    ("pid", Json::U64(0)),
                     ("tid", Json::U64(u64::from(s.tid))),
                     ("args", Json::obj(args)),
                 ])
@@ -230,8 +229,8 @@ impl Trace {
                 "  {label:<40} total {:>8}µs  self {:>8}µs",
                 span.dur_us, self_us
             );
-            if span.pid != 0 || span.tid != 0 {
-                let _ = write!(out, "  [shard {} worker {}]", span.pid, span.tid);
+            if span.tid != 0 {
+                let _ = write!(out, "  [worker {}]", span.tid);
             }
             if !span.fields.is_empty() {
                 let fields: Vec<String> = span
@@ -285,7 +284,6 @@ struct TraceCtx {
     /// Parent id for this thread's outermost spans (the handle's capture
     /// point on worker threads; 0 on the coordinator).
     base_parent: u64,
-    pid: u32,
     tid: u32,
 }
 
@@ -397,7 +395,6 @@ pub fn start_trace() -> TraceGuard {
             shared: Arc::clone(&shared),
             stack: Vec::new(),
             base_parent: 0,
-            pid: 0,
             tid: 0,
         });
     });
@@ -519,14 +516,13 @@ pub fn current_handle() -> Option<TraceHandle> {
 impl TraceHandle {
     /// Joins the trace on the current (worker) thread: spans entered
     /// until the returned guard drops are deposited under the handle's
-    /// capture point, stamped with `pid` (shard) and `tid` (worker).
-    pub fn install(&self, pid: u32, tid: u32) -> WorkerTraceGuard {
+    /// capture point, stamped with the worker index `tid`.
+    pub fn install(&self, tid: u32) -> WorkerTraceGuard {
         let prev = TRACE_CTX.with(|ctx| {
             ctx.borrow_mut().replace(TraceCtx {
                 shared: Arc::clone(&self.shared),
                 stack: Vec::new(),
                 base_parent: self.parent,
-                pid,
                 tid,
             })
         });
@@ -598,7 +594,6 @@ pub(crate) fn on_span_exit(name: &'static str, fields: &[(&'static str, String)]
             name: frame.name,
             start_us: frame.start_us,
             dur_us: u64::try_from(frame.start.elapsed().as_micros()).unwrap_or(u64::MAX),
-            pid: ctx.pid,
             tid: ctx.tid,
             fields: fields.to_vec(),
         };
@@ -734,20 +729,20 @@ mod tests {
     }
 
     #[test]
-    fn handle_propagates_to_worker_threads_with_pid_tid() {
+    fn handle_propagates_to_worker_threads_with_tid() {
         let _lock = trace_lock();
         retain_all();
         clear();
         let id = {
             let trace = start_trace();
-            let _root = crate::span!("shard.knn");
+            let _root = crate::span!("test.fanout");
             let handle = current_handle().expect("capture live");
             std::thread::scope(|scope| {
-                for shard in 1..=2u32 {
+                for worker in 1..=2u32 {
                     let handle = handle.clone();
                     scope.spawn(move || {
-                        let _worker = handle.install(shard, shard);
-                        let _span = span("shard.worker");
+                        let _worker = handle.install(worker);
+                        let _span = span("test.worker");
                     });
                 }
             });
@@ -755,18 +750,21 @@ mod tests {
         };
         let trace = find(id).expect("retained");
         assert_eq!(trace.spans.len(), 3);
-        let root = trace.spans.iter().find(|s| s.name == "shard.knn").unwrap();
-        let workers: Vec<&TraceSpan> = trace
+        let root = trace
             .spans
             .iter()
-            .filter(|s| s.name == "shard.worker")
+            .find(|s| s.name == "test.fanout")
+            .unwrap();
+        assert_eq!(root.tid, 0);
+        let mut tids: Vec<u32> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "test.worker")
+            .inspect(|worker| assert_eq!(worker.parent, root.id))
+            .map(|worker| worker.tid)
             .collect();
-        assert_eq!(workers.len(), 2);
-        for worker in workers {
-            assert_eq!(worker.parent, root.id);
-            assert!(worker.pid == 1 || worker.pid == 2);
-            assert_eq!(worker.pid, worker.tid);
-        }
+        tids.sort_unstable();
+        assert_eq!(tids, [1, 2]);
         assert_eq!(current_handle().map(|_| ()), None);
     }
 

@@ -317,7 +317,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
     ) -> (Vec<Neighbor>, SearchStats) {
         // The trace guard is declared before the span so the span closes
         // (and deposits itself) before the guard finalizes the trace.
-        // Inside a batch/sharded/nested query this is inert — the query
+        // Inside a batch/nested query this is inert — the query
         // joins the enclosing trace instead of starting its own.
         let _trace = treesim_obs::trace::start_trace();
         let _span = treesim_obs::span!("engine.knn", k = k, dataset = self.forest.len());
@@ -339,9 +339,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
     /// The bare k-NN algorithm: answers the query and fills the per-query
     /// [`SearchStats`], but emits **nothing** — no span, no registry
     /// metrics, no flight record. [`SearchEngine::knn_observed`] adds the
-    /// emission for the single-engine path; the sharded engine runs this
-    /// core on per-shard worker threads and emits once for the merged
-    /// query. Also returns the total Zhang–Shasha problem size (nodes)
+    /// emission. Also returns the total Zhang–Shasha problem size (nodes)
     /// refined, for the flight record.
     pub(crate) fn knn_core<O: QueryObserver>(
         &self,
@@ -500,7 +498,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
     }
 
     /// The bare range algorithm — emission-free like
-    /// [`SearchEngine::knn_core`], for the same sharded reuse.
+    /// [`SearchEngine::knn_core`].
     pub(crate) fn range_core<O: QueryObserver>(
         &self,
         query: &Tree,
@@ -749,7 +747,7 @@ where
                         // Join the batch trace from this worker thread;
                         // worker index becomes the Chrome-trace `tid` row
                         // (the coordinator thread is tid 0).
-                        let _trace = trace_handle.map(|h| h.install(0, worker as u32 + 1));
+                        let _trace = trace_handle.map(|h| h.install(worker as u32 + 1));
                         let _span = treesim_obs::span!(
                             "engine.batch.worker",
                             worker = worker,

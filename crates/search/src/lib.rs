@@ -13,10 +13,6 @@
 //! * [`NoFilter`] — the sequential-scan baseline;
 //! * [`MaxFilter`] — pointwise maximum of two filters (ablations).
 //!
-//! [`ShardedEngine`] partitions the forest ([`ShardedForest::split`])
-//! and answers each query on every shard concurrently, merging the
-//! per-shard heaps into the identical result set.
-//!
 //! # Example
 //!
 //! ```
@@ -45,7 +41,6 @@ pub mod explain;
 pub mod filter;
 pub mod join;
 pub mod ops;
-pub mod sharded;
 pub mod stats;
 pub mod subtree;
 
@@ -59,6 +54,5 @@ pub use filter::{
     PostingsFilter, PostingsQuery,
 };
 pub use join::{closest_pairs, similarity_join, similarity_self_join, JoinPair, JoinStats};
-pub use sharded::{ShardedEngine, ShardedForest};
 pub use stats::{AveragedStage, AveragedStats, LatencyBuckets, SearchStats, StageStats};
 pub use subtree::{subtree_search, SubtreeMatch, SubtreeStats};

@@ -14,7 +14,7 @@
 use treesim_obs::naming::{is_test_name, validate_metric_name, CASCADE_STAGES, KNOWN_PREFIXES};
 use treesim_search::{
     BiBranchFilter, BiBranchMode, DynamicIndex, Filter, HistogramFilter, NoFilter, PostingsFilter,
-    SearchEngine, ShardedEngine, ShardedForest,
+    SearchEngine,
 };
 use treesim_tree::Forest;
 
@@ -62,21 +62,6 @@ fn every_emitted_metric_name_parses_under_the_grammar() {
     drive_engine(&forest, NoFilter::build(&forest));
     drive_engine(&forest, PostingsFilter::build(&forest, 2));
     drive_engine(&forest, PostingsFilter::with_histogram(&forest, 2));
-
-    // Sharded execution materializes the `shard.*` namespace.
-    let sharded = ShardedForest::split(&forest, 3);
-    let engine = ShardedEngine::new(&sharded, |shard| PostingsFilter::build(shard, 2));
-    let query = forest.tree(treesim_tree::TreeId(0));
-    let (hits, stats) = engine.knn(query, 3);
-    assert!(!hits.is_empty());
-    stats.record_metrics("shard.knn");
-    let (hits, stats) = engine.range(query, 2);
-    assert!(!hits.is_empty());
-    stats.record_metrics("shard.range");
-    let report = engine.explain_knn(query, 2);
-    report
-        .check_consistency()
-        .expect("sharded explain telescopes");
 
     let mut index = DynamicIndex::new(2);
     for spec in ["a(b c)", "a(b(c) c)", "a(c)"] {

@@ -1,11 +1,14 @@
 //! Property tests for the observability layer: cascade funnel accounting
-//! invariants, and the guarantee that span sinks never change query
+//! invariants, over both the 3-stage positional cascade and the 4-stage
+//! postings cascade, and the guarantee that span sinks never change query
 //! results (observation is passive).
 
 use proptest::prelude::*;
 use treesim_datagen::normal::Normal;
 use treesim_datagen::synthetic::{generate, SyntheticConfig};
-use treesim_search::{BiBranchFilter, BiBranchMode, Neighbor, SearchEngine};
+use treesim_search::{
+    BiBranchFilter, BiBranchMode, Filter, Neighbor, PostingsFilter, SearchEngine,
+};
 use treesim_tree::{Forest, TreeId};
 
 fn random_forest(seed: u64, count: usize) -> Forest {
@@ -27,6 +30,49 @@ fn positional_engine(forest: &Forest) -> SearchEngine<'_, BiBranchFilter> {
     )
 }
 
+fn postings_engine(forest: &Forest) -> SearchEngine<'_, PostingsFilter> {
+    SearchEngine::new(forest, PostingsFilter::build(forest, 2))
+}
+
+/// Range sweeps narrow stage by stage: what survives stage `s` is
+/// exactly what stage `s + 1` evaluates, and the final stage's survivors
+/// are exactly the refinement set.
+fn check_range_funnel<F: Filter>(
+    engine: &SearchEngine<'_, F>,
+    forest: &Forest,
+    query_id: TreeId,
+    tau: u32,
+) -> Result<(), TestCaseError> {
+    let (results, stats) = engine.range(forest.tree(query_id), tau);
+    prop_assert!(stats.stages.len() > 1);
+    prop_assert_eq!(stats.stages[0].evaluated, forest.len());
+    for pair in stats.stages.windows(2) {
+        prop_assert_eq!(pair[1].evaluated, pair[0].survivors());
+    }
+    prop_assert_eq!(stats.stages.last().unwrap().survivors(), stats.refined);
+    prop_assert_eq!(stats.results, results.len());
+    Ok(())
+}
+
+/// k-NN escalation accounts for every tree exactly once: each candidate
+/// is either refined or pruned at exactly one stage.
+fn check_knn_funnel<F: Filter>(
+    engine: &SearchEngine<'_, F>,
+    forest: &Forest,
+    query_id: TreeId,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let (_, stats) = engine.knn(forest.tree(query_id), k);
+    prop_assert_eq!(stats.stages[0].evaluated, forest.len());
+    let pruned: usize = stats.stages.iter().map(|s| s.pruned).sum();
+    prop_assert_eq!(pruned + stats.refined, forest.len());
+    // Lazy escalation: later stages never evaluate more candidates.
+    for pair in stats.stages.windows(2) {
+        prop_assert!(pair[1].evaluated <= pair[0].evaluated);
+    }
+    Ok(())
+}
+
 fn keyed(results: &[Neighbor]) -> Vec<(TreeId, u64)> {
     results.iter().map(|n| (n.tree, n.distance)).collect()
 }
@@ -34,37 +80,23 @@ fn keyed(results: &[Neighbor]) -> Vec<(TreeId, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Range sweeps narrow stage by stage: what survives stage `s` is
-    /// exactly what stage `s + 1` evaluates, and the final stage's
-    /// survivors are exactly the refinement set.
+    /// See [`check_range_funnel`]; `tau` 8 reaches past most of the
+    /// forest.
     #[test]
-    fn range_funnel_telescopes(seed in 0u64..10_000, tau in 0u32..6) {
+    fn range_funnel_telescopes(seed in 0u64..10_000, tau in 0u32..9) {
         let forest = random_forest(seed, 14);
-        let engine = positional_engine(&forest);
-        let query = forest.tree(TreeId((seed % forest.len() as u64) as u32));
-        let (_, stats) = engine.range(query, tau);
-        prop_assert!(stats.stages.len() > 1);
-        prop_assert_eq!(stats.stages[0].evaluated, forest.len());
-        for pair in stats.stages.windows(2) {
-            prop_assert_eq!(pair[1].evaluated, pair[0].survivors());
-        }
-        prop_assert_eq!(stats.stages.last().unwrap().survivors(), stats.refined);
+        let query_id = TreeId((seed % forest.len() as u64) as u32);
+        check_range_funnel(&positional_engine(&forest), &forest, query_id, tau)?;
+        check_range_funnel(&postings_engine(&forest), &forest, query_id, tau)?;
     }
 
-    /// k-NN escalation accounts for every tree exactly once: each
-    /// candidate is either refined or pruned at exactly one stage.
+    /// See [`check_knn_funnel`]; `k` 14 covers the whole forest.
     #[test]
-    fn knn_accounts_for_every_candidate(seed in 0u64..10_000, k in 1usize..6) {
+    fn knn_accounts_for_every_candidate(seed in 0u64..10_000, k in 1usize..15) {
         let forest = random_forest(seed, 14);
-        let engine = positional_engine(&forest);
-        let query = forest.tree(TreeId((seed % forest.len() as u64) as u32));
-        let (_, stats) = engine.knn(query, k);
-        let pruned: usize = stats.stages.iter().map(|s| s.pruned).sum();
-        prop_assert_eq!(pruned + stats.refined, forest.len());
-        // Lazy escalation: later stages never evaluate more candidates.
-        for pair in stats.stages.windows(2) {
-            prop_assert!(pair[1].evaluated <= pair[0].evaluated);
-        }
+        let query_id = TreeId((seed % forest.len() as u64) as u32);
+        check_knn_funnel(&positional_engine(&forest), &forest, query_id, k)?;
+        check_knn_funnel(&postings_engine(&forest), &forest, query_id, k)?;
     }
 
     /// Installing or removing a span sink never changes results: the

@@ -1,5 +1,4 @@
-//! Property tests for the stage −1 postings candidate generator and the
-//! sharded engine.
+//! Property tests for the stage −1 postings candidate generator.
 //!
 //! The no-false-negative guarantee (DESIGN: the stage −1 bound never
 //! exceeds the exact edit distance, even when query branches are missing
@@ -11,15 +10,12 @@
 //! 3. a query whose labels are 100% out-of-vocabulary — the generator
 //!    produces *zero* candidates, yet results stay exact because the
 //!    unmatched query mass is accounted into the bound.
-//!
-//! Shard-count invariance: S=1 and S=4 return identical results and
-//! telescoping merged funnels.
 
 use proptest::prelude::*;
 use treesim_datagen::normal::Normal;
 use treesim_datagen::synthetic::{generate, SyntheticConfig};
 use treesim_edit::edit_distance;
-use treesim_search::{Filter, PostingsFilter, SearchEngine, ShardedEngine, ShardedForest};
+use treesim_search::{Filter, PostingsFilter, SearchEngine};
 use treesim_tree::{Forest, TreeId};
 
 fn random_forest(seed: u64, count: usize) -> Forest {
@@ -127,41 +123,5 @@ proptest! {
             .expect("valid bracket spec");
         let query = scratch.tree(qid).clone();
         check_postings(&forest, &query, true)?;
-    }
-
-    #[test]
-    fn shard_count_is_invariant(seed in 0u64..10_000) {
-        let forest = random_forest(seed, 12);
-        let query_id = TreeId((seed % forest.len() as u64) as u32);
-        let query = forest.tree(query_id).clone();
-
-        let f1 = ShardedForest::split(&forest, 1);
-        let f4 = ShardedForest::split(&forest, 4);
-        let e1 = ShardedEngine::new(&f1, |s| PostingsFilter::build(s, 2));
-        let e4 = ShardedEngine::new(&f4, |s| PostingsFilter::build(s, 2));
-        prop_assert_eq!(e4.shard_count(), 4);
-
-        for k in [1usize, 3, forest.len()] {
-            let (r1, s1) = e1.knn(&query, k);
-            let (r4, s4) = e4.knn(&query, k);
-            prop_assert_eq!(r1, r4, "knn differs at k={}", k);
-            prop_assert_eq!(s1.stages[0].evaluated, forest.len());
-            prop_assert_eq!(s4.stages[0].evaluated, forest.len());
-            let pruned: usize = s4.stages.iter().map(|s| s.pruned).sum();
-            prop_assert_eq!(pruned + s4.refined, forest.len());
-        }
-        for tau in [0u32, 1, 2, 4, 8] {
-            let (r1, s1) = e1.range(&query, tau);
-            let (r4, s4) = e4.range(&query, tau);
-            prop_assert_eq!(&r1, &r4, "range differs at tau={}", tau);
-            for stats in [&s1, &s4] {
-                prop_assert_eq!(stats.stages[0].evaluated, forest.len());
-                for pair in stats.stages.windows(2) {
-                    prop_assert_eq!(pair[0].survivors(), pair[1].evaluated);
-                }
-                prop_assert_eq!(stats.stages.last().unwrap().survivors(), stats.refined);
-                prop_assert_eq!(stats.results, r4.len());
-            }
-        }
     }
 }

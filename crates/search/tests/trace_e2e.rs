@@ -14,7 +14,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use treesim_obs::server::MetricsServer;
 use treesim_obs::{trace, Json};
-use treesim_search::{BiBranchFilter, BiBranchMode, SearchEngine, ShardedEngine, ShardedForest};
+use treesim_search::{BiBranchFilter, BiBranchMode, SearchEngine};
 use treesim_tree::{Forest, Tree, TreeId};
 
 /// Serializes the tests in this file (shared process globals). Poison
@@ -57,18 +57,11 @@ fn trace_endpoint_serves_valid_chrome_trace_events() {
     );
     let query = forest.tree(TreeId(0));
 
-    // Traffic covering single-threaded, batch-worker and shard-worker
-    // span deposits.
+    // Traffic covering single-threaded and batch-worker span deposits.
     engine.knn(query, 3);
     engine.range(query, 2);
     let queries: Vec<&Tree> = (0..8).map(|i| forest.tree(TreeId(i))).collect();
     engine.knn_batch_threads(&queries, 3, 4);
-    let sharded_forest = ShardedForest::split(&forest, 3);
-    let sharded = ShardedEngine::new(&sharded_forest, |shard| {
-        BiBranchFilter::build(shard, 2, BiBranchMode::Positional)
-    });
-    sharded.knn(query, 3);
-    sharded.range(query, 2);
 
     let handle = MetricsServer::bind("127.0.0.1:0")
         .expect("bind ephemeral port")
@@ -124,20 +117,13 @@ fn trace_endpoint_serves_valid_chrome_trace_events() {
     }
 
     // Cross-thread reassembly made it into the export: batch workers
-    // (tid ≥ 1) and shard workers (pid ≥ 1) both deposited spans.
-    let placed = |name: &str, key: &str| {
+    // (tid ≥ 1) deposited spans.
+    assert!(
         events.iter().any(|e| {
-            e.get("name").and_then(Json::as_str) == Some(name)
-                && e.get(key).and_then(Json::as_u64).is_some_and(|v| v >= 1)
-        })
-    };
-    assert!(
-        placed("engine.batch.worker", "tid"),
+            e.get("name").and_then(Json::as_str) == Some("engine.batch.worker")
+                && e.get("tid").and_then(Json::as_u64).is_some_and(|v| v >= 1)
+        }),
         "no engine.batch.worker span on tid ≥ 1"
-    );
-    assert!(
-        placed("shard.worker", "pid"),
-        "no shard.worker span on pid ≥ 1"
     );
 }
 
