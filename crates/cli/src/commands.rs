@@ -33,13 +33,9 @@ USAGE:
                         [--limit 40]   (per-candidate cascade EXPLAIN table)
   treesim trace  FILE --query TREE [--k 5 | --tau T] [--filter ...] [--level 2]
                         [--index IDX.tsi]   (answer one query, print its span tree)
-  treesim slo                           (evaluate the SLO targets against the live
-                        5 m / 1 h windows, print the burn-rate table)
   treesim serve-metrics [FILE] [--addr 127.0.0.1:9891] [--warm 25] [--k 5]
-                        [--trace-weight-budget N] [--trace-sample-every N]
-                        [--trace-slo-us N]
                         (HTTP exporter: /metrics, /snapshot.json, /recorder.json?since=N,
-                         /trace.json, /slo.json, /health)
+                         /trace.json)
   treesim help
 
 Filters: `bibranch` is the paper's positional cascade; `postings` fronts it
@@ -51,8 +47,7 @@ Observability (any command):
   --metrics FILE          write the metrics snapshot (counters, gauges,
                           histograms) as JSON after the command finishes
   TREESIM_TRACE_WEIGHT_BUDGET / TREESIM_TRACE_SAMPLE_EVERY / TREESIM_TRACE_SLO_US
-                          tune the trace sampler from the environment;
-                          the serve-metrics --trace-* flags override them
+                          tune the trace sampler from the environment
 
 Dataset files ending in .xml are concatenated XML documents; anything else
 is whitespace-separated bracket notation such as  a(b(c d) e) .";
@@ -63,10 +58,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let rest = if argv.is_empty() { &[] } else { &argv[1..] };
     let args = Args::parse(rest)?;
     configure_tracing(&args)?;
-    // Baseline the window ring before the command runs, so the SLO
-    // evaluation afterwards windows exactly this invocation's traffic
-    // (the first tick on a fresh ring only records the starting point).
-    treesim_obs::window::global().tick();
     let outcome = check_flags(command, &args).and_then(|()| match command {
         "help" | "--help" | "-h" => {
             println!("{HELP}");
@@ -83,23 +74,9 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "join" => join(&args),
         "explain" => explain(&args),
         "trace" => trace_query(&args),
-        "slo" => slo_report(&args),
         "serve-metrics" => serve_metrics(&args),
         other => Err(format!("unknown command {other:?}")),
     });
-    if outcome.is_err() {
-        // Count the failure against the op's error budget so the SLO
-        // engine's error-rate objectives see driver-level failures too.
-        if let Some(op) = slo_op_for(command, &args) {
-            treesim_search::ops::record_error(op);
-        }
-    }
-    if let Some(burn) = check_slo_after(command) {
-        eprintln!(
-            "warning: SLO degraded — worst burn rate {burn:.2}× \
-             (run `treesim slo` for the target table)"
-        );
-    }
     // Snapshot even on command failure: partial funnels are still useful.
     if let Some(path) = args.get("metrics") {
         write_metrics(path)?;
@@ -114,7 +91,7 @@ const GLOBAL_FLAGS: [&str; 2] = ["trace", "metrics"];
 /// unknown command.
 fn command_flags(command: &str) -> Option<&'static [&'static str]> {
     Some(match command {
-        "help" | "--help" | "-h" | "convert" | "stats" | "dist" | "slo" => &[],
+        "help" | "--help" | "-h" | "convert" | "stats" | "dist" => &[],
         "gen-synthetic" => &[
             "out",
             "trees",
@@ -134,14 +111,7 @@ fn command_flags(command: &str) -> Option<&'static [&'static str]> {
         "join" => &["tau", "limit"],
         "explain" => &["query", "k", "tau", "filter", "level", "limit"],
         "trace" => &["query", "k", "tau", "filter", "level", "index"],
-        "serve-metrics" => &[
-            "addr",
-            "warm",
-            "k",
-            "trace-weight-budget",
-            "trace-sample-every",
-            "trace-slo-us",
-        ],
+        "serve-metrics" => &["addr", "warm", "k"],
         _ => return None,
     })
 }
@@ -160,41 +130,6 @@ fn check_flags(command: &str, args: &Args) -> Result<(), String> {
     match unknown {
         Some(name) => Err(format!("{command} does not accept --{name}")),
         None => Ok(()),
-    }
-}
-
-/// Maps a CLI command onto the cataloged operation its failure should
-/// burn ([`treesim_search::ops::OPS`]); `None` for commands outside the
-/// SLO table (generation, conversion, the server itself).
-fn slo_op_for(command: &str, args: &Args) -> Option<&'static str> {
-    match command {
-        "knn" => Some("engine.knn"),
-        "range" => Some("engine.range"),
-        "join" => Some("join.self"),
-        // EXPLAIN and trace answer one real query; a `--tau` makes it a
-        // range query, mirroring their dispatch inside the handlers.
-        "explain" | "trace" => Some(if args.get("tau").is_some() {
-            "engine.range"
-        } else {
-            "engine.knn"
-        }),
-        _ => None,
-    }
-}
-
-/// The degradation hook for batch drivers: after a query-path command,
-/// evaluate the SLO targets over the live windows and surface the worst
-/// burn rate when the multi-window rule says the error budget is burning.
-fn check_slo_after(command: &str) -> Option<f64> {
-    match command {
-        "knn" | "range" | "join" | "explain" | "trace" => {
-            treesim_obs::slo::evaluate();
-            treesim_obs::slo::check_degraded()
-        }
-        // `slo` already evaluated inside its handler; re-running here
-        // would double-publish for no new information.
-        "slo" => treesim_obs::slo::check_degraded(),
-        _ => None,
     }
 }
 
@@ -409,12 +344,24 @@ fn search(args: &Args, kind: SearchKind) -> Result<(), String> {
 
     let prebuilt_index = match args.get("index") {
         Some(index_path) => {
+            if matches!(filter_name, "histo" | "none") {
+                return Err(format!(
+                    "--filter {filter_name} does not read --index \
+                     (only bibranch, plain and postings do)"
+                ));
+            }
             let index = load_index(index_path)?;
             if index.tree_count() != forest.len() {
                 return Err(format!(
                     "index covers {} trees but the dataset has {}",
                     index.tree_count(),
                     forest.len()
+                ));
+            }
+            if args.get("level").is_some() && level != index.q() {
+                return Err(format!(
+                    "--level {level} disagrees with --index, which was built at level {}",
+                    index.q()
                 ));
             }
             Some(index)
@@ -483,10 +430,24 @@ fn run<F: treesim_search::Filter>(
     })
 }
 
+/// The query `explain` and `trace` answer: `--tau` makes it a range
+/// query, otherwise a k-NN query (`--k`, default 5). Both at once is an
+/// error rather than a silent pick.
+fn single_query_kind(args: &Args) -> Result<SearchKind, String> {
+    match (args.get("k"), args.get("tau")) {
+        (Some(_), Some(_)) => Err("--k and --tau exclude each other: \
+                                   --k asks for a k-NN query, --tau for a range query"
+            .into()),
+        (_, Some(_)) => Ok(SearchKind::Range),
+        (_, None) => Ok(SearchKind::Knn),
+    }
+}
+
 /// `treesim explain`: replay one query with the recording observer and
 /// print the per-candidate cascade table. `--tau T` explains a range
 /// query; otherwise `--k` (default 5) explains a k-NN query.
 fn explain(args: &Args) -> Result<(), String> {
+    let kind = single_query_kind(args)?;
     let path = args.positional(0).ok_or("explain needs a dataset file")?;
     let mut forest = io::load_forest(path)?;
     let query = io::parse_query(&mut forest, args.require("query")?)?;
@@ -502,16 +463,30 @@ fn explain(args: &Args) -> Result<(), String> {
             BiBranchFilter::build(&forest, level, BiBranchMode::Positional),
             &query,
             args,
+            &kind,
         )?,
         "plain" => explain_with(
             &forest,
             BiBranchFilter::build(&forest, level, BiBranchMode::Plain),
             &query,
             args,
+            &kind,
         )?,
-        "postings" => explain_with(&forest, PostingsFilter::build(&forest, level), &query, args)?,
-        "histo" => explain_with(&forest, HistogramFilter::build(&forest), &query, args)?,
-        "none" => explain_with(&forest, NoFilter::build(&forest), &query, args)?,
+        "postings" => explain_with(
+            &forest,
+            PostingsFilter::build(&forest, level),
+            &query,
+            args,
+            &kind,
+        )?,
+        "histo" => explain_with(
+            &forest,
+            HistogramFilter::build(&forest),
+            &query,
+            args,
+            &kind,
+        )?,
+        "none" => explain_with(&forest, NoFilter::build(&forest), &query, args, &kind)?,
         other => return Err(format!("unknown filter {other:?}")),
     };
     print!("{}", report.render(limit));
@@ -533,11 +508,12 @@ fn explain_with<F: treesim_search::Filter>(
     filter: F,
     query: &Tree,
     args: &Args,
+    kind: &SearchKind,
 ) -> Result<treesim_search::ExplainReport, String> {
     let engine = SearchEngine::new(forest, filter);
-    Ok(match args.get("tau") {
-        Some(_) => engine.explain_range(query, args.get_or("tau", 3u32)?),
-        None => engine.explain_knn(query, args.get_or("k", 5usize)?),
+    Ok(match kind {
+        SearchKind::Range => engine.explain_range(query, args.get_or("tau", 3u32)?),
+        SearchKind::Knn => engine.explain_knn(query, args.get_or("k", 5usize)?),
     })
 }
 
@@ -545,15 +521,11 @@ fn explain_with<F: treesim_search::Filter>(
 /// `--tau` makes it a range query) with trace retention forced on, then
 /// print the reassembled span tree with per-span total/self times.
 fn trace_query(args: &Args) -> Result<(), String> {
+    let kind = single_query_kind(args)?;
     // Retain every trace for this run: the CLI answers one query per
     // process, so the sampler's 1-in-N lottery would usually drop the
     // only trace there is.
     treesim_obs::trace::set_sample_every(1);
-    let kind = if args.get("tau").is_some() {
-        SearchKind::Range
-    } else {
-        SearchKind::Knn
-    };
     search(args, kind)?;
     let trace = treesim_obs::trace::latest()
         .ok_or("no trace was retained — the query produced no spans")?;
@@ -565,59 +537,12 @@ fn trace_query(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `treesim slo`: evaluate every SLO target against the live 5 m / 1 h
-/// windows and print the verdict table — the same evaluation `/slo.json`
-/// and `/health` serve, rendered for a terminal.
-fn slo_report(_args: &Args) -> Result<(), String> {
-    // Materialize the full op catalog first so the table shows every
-    // promised series, not just the ones this process happened to touch.
-    treesim_search::ops::register();
-    let report = treesim_obs::slo::evaluate();
-    print!("{}", report.render_table());
-    Ok(())
-}
-
-/// One `--trace-*` sampler flag: `Ok(None)` when absent, an error naming
-/// the flag when present but not a number.
-#[cfg(feature = "server")]
-fn flag_knob(args: &Args, name: &str) -> Result<Option<u64>, String> {
-    match args.get(name) {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse()
-            .map(Some)
-            .map_err(|e| format!("--{name} {raw:?}: {e}")),
-    }
-}
-
 /// `treesim serve-metrics`: expose the metrics registry and flight
 /// recorder over HTTP. With a dataset argument, first answers `--warm`
 /// k-NN queries (a batch, so recorder entries are batch-tagged) to
 /// populate the `cascade.*` / `refine.*` / `recorder.*` families.
 #[cfg(feature = "server")]
 fn serve_metrics(args: &Args) -> Result<(), String> {
-    // Sampler knobs: explicit flags override the TREESIM_TRACE_* env vars
-    // (already applied by configure_tracing); when neither pins the
-    // slow-span threshold, it follows the strictest latency SLO so the
-    // sampler's idea of "slow" matches what /health alerts on.
-    let mut slo_pinned = std::env::var_os("TREESIM_TRACE_SLO_US").is_some();
-    if let Some(v) = flag_knob(args, "trace-weight-budget")? {
-        treesim_obs::trace::set_weight_budget(v);
-    }
-    if let Some(v) = flag_knob(args, "trace-sample-every")? {
-        treesim_obs::trace::set_sample_every(v);
-    }
-    if let Some(v) = flag_knob(args, "trace-slo-us")? {
-        treesim_obs::trace::set_slo_us(v);
-        slo_pinned = true;
-    }
-    if !slo_pinned {
-        let applied = treesim_obs::slo::sync_trace_slo();
-        println!("trace slow-span threshold synced to the strictest latency SLO ({applied} µs)");
-    }
-    // Materialize every `<op>.errors` counter so scrapes see the complete
-    // catalog from the first request.
-    treesim_search::ops::register();
     if let Some(path) = args.positional(0) {
         let forest = io::load_forest(path)?;
         let warm = args.get_or("warm", 25usize)?;
@@ -642,7 +567,7 @@ fn serve_metrics(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("cannot resolve local address: {e}"))?;
     println!(
         "serving http://{local}/metrics  (also /snapshot.json, /recorder.json?since=N, \
-         /trace.json, /slo.json, /health)"
+         /trace.json)"
     );
     server
         .serve_forever()
@@ -903,6 +828,59 @@ mod tests {
     }
 
     #[test]
+    fn explain_and_trace_reject_both_k_and_tau() {
+        let dir = std::env::temp_dir().join("treesim-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("k-and-tau.trees");
+        std::fs::write(&data, "a(b c)\na(b d)\nx(y z)\n").unwrap();
+        let data_str = data.to_str().unwrap();
+        for command in ["explain", "trace"] {
+            let err = dispatch(&argv(&[
+                command, data_str, "--query", "a(b c)", "--k", "1", "--tau", "2",
+            ]))
+            .unwrap_err();
+            assert!(err.contains("--k") && err.contains("--tau"), "{err}");
+        }
+        std::fs::remove_file(&data).ok();
+    }
+
+    #[test]
+    fn index_rejects_other_levels_and_unindexed_filters() {
+        // `trace` forces trace retention before its query runs.
+        let _knobs = knob_lock();
+        let dir = std::env::temp_dir().join("treesim-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("index-level.trees");
+        let index = dir.join("index-level.tsi");
+        std::fs::write(&data, "a(b c)\na(b d)\na(b(c) d)\nx(y z)\n").unwrap();
+        let (data_str, index_str) = (data.to_str().unwrap(), index.to_str().unwrap());
+        dispatch(&argv(&["index", data_str, "--out", index_str])).unwrap();
+        let query = |command: &str, extra: &[&str]| {
+            let mut tokens = vec![command, data_str, "--query", "a(b c)", "--index", index_str];
+            tokens.extend_from_slice(extra);
+            dispatch(&argv(&tokens))
+        };
+        // The index's own level, given or implied, is accepted.
+        query("knn", &["--level", "2"]).unwrap();
+        query("range", &[]).unwrap();
+        // A level the index was not built at is an error, not ignored.
+        for command in ["knn", "range", "trace"] {
+            let err = query(command, &["--level", "4"]).unwrap_err();
+            assert!(
+                err.contains("--level 4") && err.contains("level 2"),
+                "{err}"
+            );
+        }
+        // Filters that never read the index reject it.
+        for filter in ["histo", "none"] {
+            let err = query("knn", &["--filter", filter]).unwrap_err();
+            assert!(err.contains(filter) && err.contains("--index"), "{err}");
+        }
+        std::fs::remove_file(&data).ok();
+        std::fs::remove_file(&index).ok();
+    }
+
+    #[test]
     fn trace_command_prints_span_tree() {
         let _knobs = knob_lock();
         let dir = std::env::temp_dir().join("treesim-cli-test");
@@ -929,37 +907,21 @@ mod tests {
     #[cfg(feature = "server")]
     #[test]
     fn serve_metrics_rejects_bad_addr() {
-        // Holds the knob lock: even a failed serve-metrics syncs the
-        // trace SLO threshold before binding.
-        let _knobs = knob_lock();
         assert!(dispatch(&argv(&[
             "serve-metrics",
             "--addr",
             "definitely:not:an:addr"
         ]))
         .is_err());
-        treesim_obs::trace::set_slo_us(10_000);
     }
 
     #[test]
-    fn slo_command_prints_the_target_table() {
-        dispatch(&argv(&["slo"])).unwrap();
-        // The evaluation materialized the published gauges for every
-        // latency target in the catalog.
-        let snapshot = treesim_obs::metrics::snapshot();
-        assert!(snapshot.gauge("slo.burn_rate.engine_knn").is_some());
-        assert!(snapshot.gauge("slo.budget_remaining.engine_knn").is_some());
-    }
-
-    #[test]
-    fn failures_burn_the_op_error_budget() {
-        let before = treesim_obs::metrics::snapshot();
-        assert!(dispatch(&argv(&["knn", "/definitely/missing.trees", "--query", "a"])).is_err());
-        assert!(dispatch(&argv(&["join", "/definitely/missing.trees"])).is_err());
-        let after = treesim_obs::metrics::snapshot();
-        // Other tests may fail queries concurrently, so ≥ not ==.
-        assert!(after.counter_delta(&before, "engine.knn.errors") >= 1);
-        assert!(after.counter_delta(&before, "join.self.errors") >= 1);
+    fn slo_is_an_unknown_command() {
+        let err = dispatch(&argv(&["slo"])).unwrap_err();
+        assert!(
+            err.contains("unknown command") && err.contains("slo"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -980,45 +942,26 @@ mod tests {
         assert_eq!(env_knob("TREESIM_TRACE_SCRATCH_KNOB"), Ok(None));
     }
 
-    #[cfg(feature = "server")]
+    /// The sampler knobs are set by the `TREESIM_TRACE_*` variables only;
+    /// the old serve-metrics flags for them fail like any unknown flag,
+    /// before anything binds.
     #[test]
-    fn serve_metrics_trace_flags_apply_before_bind() {
-        let _knobs = knob_lock();
-        // The bind fails, but the knobs are applied first — and an
-        // explicit --trace-slo-us suppresses the SLO sync.
-        assert!(dispatch(&argv(&[
-            "serve-metrics",
-            "--addr",
-            "definitely:not:an:addr",
-            "--trace-sample-every",
-            "3",
-            "--trace-slo-us",
-            "9999",
-        ]))
-        .is_err());
-        assert_eq!(treesim_obs::trace::sample_every(), 3);
-        assert_eq!(treesim_obs::trace::slo_us(), 9999);
-        // Without the flag, the threshold follows the strictest latency
-        // target in the SLO table.
-        assert!(dispatch(&argv(&[
-            "serve-metrics",
-            "--addr",
-            "definitely:not:an:addr"
-        ]))
-        .is_err());
-        assert_eq!(treesim_obs::trace::slo_us(), 250_000);
-        // Malformed flags are rejected before anything binds.
-        assert!(dispatch(&argv(&[
-            "serve-metrics",
-            "--addr",
-            "127.0.0.1:0",
+    fn serve_metrics_rejects_trace_flags() {
+        for flag in [
             "--trace-weight-budget",
-            "nope",
-        ]))
-        .is_err());
-        treesim_obs::trace::set_sample_every(16);
-        treesim_obs::trace::set_slo_us(10_000);
-        treesim_obs::trace::set_weight_budget(64);
+            "--trace-sample-every",
+            "--trace-slo-us",
+        ] {
+            let err = dispatch(&argv(&[
+                "serve-metrics",
+                "--addr",
+                "127.0.0.1:0",
+                flag,
+                "3",
+            ]))
+            .unwrap_err();
+            assert_eq!(err, format!("serve-metrics does not accept {flag}"));
+        }
     }
 
     #[test]

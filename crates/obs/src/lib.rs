@@ -23,14 +23,9 @@
 //! * **Exporter** ([`mod@server`] + [`mod@prometheus`]): a std-only
 //!   `TcpListener` HTTP endpoint serving `/metrics` (Prometheus text
 //!   exposition 0.0.4), `/snapshot.json`, `/recorder.json` (with a
-//!   `?since=<seq>` cursor), `/trace.json` (Chrome trace-event format),
-//!   `/slo.json` and `/health`.
-//! * **Windows & SLOs** ([`mod@window`] + [`mod@slo`] + [`mod@clock`]): a
-//!   rotating ring of per-interval registry deltas (windowed counters and
-//!   p50/p90/p99 from the same log₂ buckets), driven by an injectable
-//!   monotonic clock, feeding declarative SLO targets with SRE-style
-//!   fast/slow burn-rate evaluation, an error-budget accountant, and the
-//!   `/health` + `/slo.json` endpoints.
+//!   `?since=<seq>` cursor) and `/trace.json` (Chrome trace-event
+//!   format). Histograms are exported as cumulative buckets; windowing
+//!   them is the scraper's job.
 //! * **Traces** ([`mod@trace`]): per-query span *trees* — every span
 //!   entered while a [`trace::start_trace`] capture is live (including on
 //!   worker threads that joined via a [`trace::TraceHandle`]) carries a
@@ -47,10 +42,8 @@
 //! (`size`, `bdist`, `propt`, `histo`) for per-stage funnel counters,
 //! `refine.zs.*` for Zhang–Shasha refinement, `dynamic.*` for the
 //! appendable index, `cluster.*`/`classify.*` for the similarity
-//! applications, `trace.*` for the trace layer itself, and
-//! `window.*`/`slo.*` for the windowed-aggregation ring and the SLO
-//! engine's published burn-rate/budget gauges. Histograms of durations
-//! end in `.us` (microseconds).
+//! applications, and `trace.*` for the trace layer itself. Histograms of
+//! durations end in `.us` (microseconds).
 //! The scheme is a checked contract, not a convention: [`mod@naming`]
 //! holds the grammar ([`naming::KNOWN_PREFIXES`],
 //! [`naming::CASCADE_STAGES`], [`naming::validate_metric_name`]), the
@@ -79,7 +72,6 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod json;
 pub mod metrics;
 pub mod model;
@@ -87,11 +79,9 @@ pub mod naming;
 pub mod prometheus;
 pub mod recorder;
 pub mod server;
-pub mod slo;
 pub mod span;
 pub mod sync;
 pub mod trace;
-pub mod window;
 
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::{
@@ -100,13 +90,11 @@ pub use metrics::{
 };
 pub use recorder::{BatchContext, FlightRecorder, QueryKind, QueryRecord, StageRecord};
 pub use server::{MetricsServer, ServerHandle};
-pub use slo::{Objective, SloReport, SloTarget, TargetVerdict};
 pub use span::{
     clear_sink, current_depth, current_spans, install_sink, sink_active, Event, EventKind,
     JsonLinesSink, OwnedEvent, PrettySink, Sink, SpanGuard, TestSink,
 };
 pub use trace::{current_trace_id, start_trace, trace_active, Trace, TraceGuard, TraceSpan};
-pub use window::{SealedInterval, WindowRing};
 
 /// Resolves (and caches per call-site) the counter named by a string
 /// literal. Expands to `&'static Counter`; the registry lookup happens

@@ -465,65 +465,6 @@ impl HistogramSnapshot {
             .find(|&&(bucket, _)| bucket == i)
             .map(|&(_, id)| id)
     }
-
-    /// Samples recorded in buckets whose inclusive upper edge exceeds
-    /// `threshold` — the pessimistic "bad sample" count for a latency
-    /// objective (a bucket straddling the threshold counts fully, the
-    /// same upper-edge convention as [`HistogramSnapshot::quantile`]).
-    pub fn count_over(&self, threshold: u64) -> u64 {
-        self.buckets
-            .iter()
-            .filter(|&&(i, _)| bucket_upper_edge(usize::from(i)) > threshold)
-            .map(|&(_, n)| n)
-            .sum()
-    }
-
-    /// Bucket-wise delta against an `earlier` capture of the same
-    /// histogram: what was recorded *between* the two snapshots. Count,
-    /// sum and every bucket diff saturating (concurrent recorders make
-    /// snapshots best-effort, never negative); `max` is approximated by
-    /// the upper edge of the highest non-empty delta bucket (clamped to
-    /// the cumulative max) because the registry only tracks a lifetime
-    /// max. Exemplars are dropped — they are lifetime breadcrumbs, not
-    /// interval data. Windowed quantiles fall out of the same
-    /// [`HistogramSnapshot::quantile`] machinery applied to the delta.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let before: BTreeMap<u8, u64> = earlier.buckets.iter().copied().collect();
-        let buckets: Vec<(u8, u64)> = self
-            .buckets
-            .iter()
-            .filter_map(|&(i, n)| {
-                let d = n.saturating_sub(before.get(&i).copied().unwrap_or(0));
-                (d > 0).then_some((i, d))
-            })
-            .collect();
-        let max = buckets
-            .last()
-            .map(|&(i, _)| bucket_upper_edge(usize::from(i)).min(self.max))
-            .unwrap_or(0);
-        HistogramSnapshot {
-            name: self.name.clone(),
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            max,
-            buckets,
-            exemplars: Vec::new(),
-        }
-    }
-
-    /// Accumulates `other` into `self` bucket-wise (count/sum/bucket
-    /// adds, max of maxes) — the inverse of [`HistogramSnapshot::
-    /// delta_since`], used to sum per-interval deltas into a window.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        let mut combined: BTreeMap<u8, u64> = self.buckets.iter().copied().collect();
-        for &(i, n) in &other.buckets {
-            *combined.entry(i).or_insert(0) += n;
-        }
-        self.buckets = combined.into_iter().collect();
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A point-in-time capture of the whole registry, JSON round-trippable.
@@ -561,80 +502,6 @@ impl MetricsSnapshot {
         self.counter(name)
             .unwrap_or(0)
             .saturating_sub(earlier.counter(name).unwrap_or(0))
-    }
-
-    /// The registry activity *between* `earlier` and `self`, as a
-    /// snapshot-shaped value (the [`crate::window`] interval-delta type):
-    /// counters are diffed (entries that did not move are dropped),
-    /// histograms are bucket-diffed via [`HistogramSnapshot::delta_since`]
-    /// (empty deltas dropped), and gauges keep their point-in-time value
-    /// from `self` — a gauge is a level, not a flow, so "the gauge over
-    /// the last interval" means "the gauge now".
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let empty = |name: &str| HistogramSnapshot {
-            name: name.to_owned(),
-            count: 0,
-            sum: 0,
-            max: 0,
-            buckets: Vec::new(),
-            exemplars: Vec::new(),
-        };
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .filter_map(|c| {
-                    let d = c
-                        .value
-                        .saturating_sub(earlier.counter(&c.name).unwrap_or(0));
-                    (d > 0).then(|| CounterSnapshot {
-                        name: c.name.clone(),
-                        value: d,
-                    })
-                })
-                .collect(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter_map(|h| {
-                    let d = match earlier.histogram(&h.name) {
-                        Some(e) => h.delta_since(e),
-                        None => h.delta_since(&empty(&h.name)),
-                    };
-                    (d.count > 0 || !d.buckets.is_empty()).then_some(d)
-                })
-                .collect(),
-        }
-    }
-
-    /// Accumulates `other` into `self`: counters add, histograms merge
-    /// bucket-wise, gauges take `other`'s value where present (merge
-    /// oldest→newest and the result carries the newest level). Inverse of
-    /// [`MetricsSnapshot::delta_since`]; summing interval deltas this way
-    /// yields a windowed snapshot the quantile machinery reads directly.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for c in &other.counters {
-            match self.counters.iter_mut().find(|mine| mine.name == c.name) {
-                Some(mine) => mine.value = mine.value.saturating_add(c.value),
-                None => self.counters.push(c.clone()),
-            }
-        }
-        self.counters.sort_by(|a, b| a.name.cmp(&b.name));
-        for g in &other.gauges {
-            match self.gauges.iter_mut().find(|mine| mine.name == g.name) {
-                Some(mine) => mine.value = g.value,
-                None => self.gauges.push(g.clone()),
-            }
-        }
-        self.gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        for h in &other.histograms {
-            match self.histograms.iter_mut().find(|mine| mine.name == h.name) {
-                Some(mine) => mine.merge(h),
-                None => self.histograms.push(h.clone()),
-            }
-        }
-        self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
     /// Converts to a JSON value.
@@ -974,64 +841,6 @@ mod tests {
         let after = snapshot();
         assert_eq!(after.counter_delta(&before, "test.metrics.delta"), 9);
         assert_eq!(after.counter_delta(&before, "test.metrics.absent"), 0);
-    }
-
-    #[test]
-    fn histogram_delta_and_merge_round_trip() {
-        let h = histogram("test.metrics.window_delta");
-        h.record(5);
-        h.record(5);
-        let before = h.snapshot();
-        h.record(5);
-        h.record(1500);
-        let after = h.snapshot();
-        let delta = after.delta_since(&before);
-        assert_eq!(delta.count, 2);
-        assert_eq!(delta.sum, 1505);
-        // One new sample per touched bucket; untouched history is gone.
-        let total: u64 = delta.buckets.iter().map(|&(_, n)| n).sum();
-        assert_eq!(total, 2);
-        // Delta max is the highest delta bucket's edge clamped to max.
-        assert_eq!(delta.max, 1500);
-        // Quantiles work on the delta alone (both samples, p50 in the
-        // small bucket).
-        assert_eq!(delta.p50(), 7);
-        // Merging the delta back onto `before` reproduces `after`'s
-        // bucket content exactly (exemplars aside).
-        let mut rebuilt = before.clone();
-        rebuilt.merge(&delta);
-        assert_eq!(rebuilt.count, after.count);
-        assert_eq!(rebuilt.sum, after.sum);
-        assert_eq!(rebuilt.buckets, after.buckets);
-        // count_over is pessimistic at bucket granularity.
-        assert_eq!(after.count_over(1023), 1);
-        assert_eq!(after.count_over(7), 1);
-        assert_eq!(after.count_over(6), 4, "straddling bucket counts fully");
-    }
-
-    #[test]
-    fn snapshot_delta_diffs_counters_and_keeps_gauge_levels() {
-        let c = counter("test.metrics.sdelta.counter");
-        let g = gauge("test.metrics.sdelta.gauge");
-        let h = histogram("test.metrics.sdelta.hist");
-        c.add(3);
-        g.set(10);
-        h.record(7);
-        let before = snapshot();
-        c.add(4);
-        g.set(-2);
-        let after = snapshot();
-        let delta = after.delta_since(&before);
-        assert_eq!(delta.counter("test.metrics.sdelta.counter"), Some(4));
-        // Gauges carry the level, not a diff.
-        assert_eq!(delta.gauge("test.metrics.sdelta.gauge"), Some(-2));
-        // Histograms that saw no traffic drop out of the delta.
-        assert_eq!(delta.histogram("test.metrics.sdelta.hist"), None);
-        // Merging two deltas sums counters and keeps the newest gauge.
-        let mut merged = delta.clone();
-        merged.merge(&delta);
-        assert_eq!(merged.counter("test.metrics.sdelta.counter"), Some(8));
-        assert_eq!(merged.gauge("test.metrics.sdelta.gauge"), Some(-2));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 /// Observability table — the analyzer rejects unknown prefixes.
 pub const KNOWN_PREFIXES: &[&str] = &[
     "cascade", "refine", "engine", "batch", "dynamic", "recorder", "server", "join", "cluster",
-    "classify", "trace", "model", "analyze", "slo", "window", "arena",
+    "classify", "trace", "model", "analyze", "arena",
 ];
 
 /// The namespace reserved for metrics created inside `#[cfg(test)]` code
@@ -209,10 +209,6 @@ mod tests {
             "model.failures",
             "analyze.findings.happens_before",
             "analyze.findings.lock_order",
-            "slo.burn_rate.engine_knn",
-            "slo.budget_remaining.engine_knn",
-            "window.rotations",
-            "window.sealed_through",
         ] {
             assert_eq!(validate_metric_name(name, false), Ok(()), "{name}");
         }
@@ -255,6 +251,17 @@ mod tests {
             validate_metric_name("shard.merge", false),
             Err(NameError::UnknownPrefix("shard".to_owned()))
         );
+        // The SLO engine and its window ring are gone, and so are their
+        // namespaces.
+        for removed in ["slo.burn_rate.engine_knn", "window.rotations"] {
+            assert!(
+                matches!(
+                    validate_metric_name(removed, false),
+                    Err(NameError::UnknownPrefix(_))
+                ),
+                "{removed}"
+            );
+        }
         assert_eq!(
             validate_metric_name("cascade.warp.evaluated", false),
             Err(NameError::UnknownStage("warp".to_owned()))

@@ -77,37 +77,6 @@ pub fn render(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Renders windowed quantile series for every histogram with traffic in
-/// the given `(window length in seconds, windowed delta)` pairs:
-/// `window_<name>_{p50,p90,p99,count}{window="300s"}` gauge families.
-/// Derived moving aggregates are gauges, not counters — they can fall —
-/// and the `window` label keeps the fast and slow series apart. Appended
-/// after [`render`] on `/metrics`; families repeat per window, which the
-/// 0.0.4 grammar tolerates (comment lines and repeated TYPE headers are
-/// skipped/merged by scrapers).
-pub fn render_windows(windows: &[(u64, &MetricsSnapshot)]) -> String {
-    let mut out = String::new();
-    for &(secs, snapshot) in windows {
-        for h in &snapshot.histograms {
-            if h.count == 0 {
-                continue;
-            }
-            let name = prometheus_name(&h.name);
-            for (stat, value) in [
-                ("p50", h.p50()),
-                ("p90", h.p90()),
-                ("p99", h.p99()),
-                ("count", h.count),
-            ] {
-                out.push_str(&format!(
-                    "# TYPE window_{name}_{stat} gauge\nwindow_{name}_{stat}{{window=\"{secs}s\"}} {value}\n"
-                ));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,22 +141,8 @@ mod tests {
     }
 
     #[test]
-    fn windowed_series_render_labeled_gauges_per_window() {
-        let snap = sample_snapshot();
-        let empty = MetricsSnapshot::default();
-        let text = render_windows(&[(300, &snap), (3600, &empty)]);
-        assert!(text.contains("# TYPE window_engine_knn_filter_us_p99 gauge\n"));
-        assert!(text.contains("window_engine_knn_filter_us_p99{window=\"300s\"} 100\n"));
-        assert!(text.contains("window_engine_knn_filter_us_count{window=\"300s\"} 4\n"));
-        assert!(text.contains("window_engine_knn_filter_us_p50{window=\"300s\"}"));
-        // The idle window contributes no series at all.
-        assert!(!text.contains("window=\"3600s\""));
-    }
-
-    #[test]
     fn every_line_parses_under_the_exposition_grammar() {
-        let mut text = render(&sample_snapshot());
-        text.push_str(&render_windows(&[(300, &sample_snapshot())]));
+        let text = render(&sample_snapshot());
         for line in text.lines() {
             if line.starts_with('#') || line.is_empty() {
                 continue;

@@ -1,11 +1,11 @@
 //! A tiny std-only metrics HTTP server — the first brick of the
 //! ROADMAP's service front-end.
 //!
-//! One [`std::net::TcpListener`], one handler thread, six routes:
+//! One [`std::net::TcpListener`], one handler thread, four routes:
 //!
 //! * `GET /metrics` — the registry in Prometheus text exposition format
-//!   ([`crate::prometheus::render`]), followed by the windowed series and
-//!   `slo_*` gauges (the SLO engine is evaluated on every scrape).
+//!   ([`crate::prometheus::render`]). Histograms are cumulative
+//!   `_bucket{le=…}` series, so a scraper computes its own windows.
 //! * `GET /snapshot.json` — [`crate::metrics::snapshot`] as JSON.
 //! * `GET /recorder.json` — the global flight recorder's held records;
 //!   `?since=<seq>` returns only records newer than that sequence id
@@ -13,11 +13,6 @@
 //! * `GET /trace.json` — the retained per-query span trees in Chrome
 //!   trace-event format ([`crate::trace::chrome_trace_json`]); save it
 //!   and load it in `chrome://tracing` or Perfetto.
-//! * `GET /slo.json` — the SLO report ([`crate::slo::evaluate`], schema
-//!   `treesim-slo/v1`): per-target fast/slow burn rates, error budgets
-//!   and windowed observed quantiles.
-//! * `GET /health` — `200 ok` while every SLO target holds, `503` with
-//!   the worst burn rate once the multi-window breach rule fires.
 //!
 //! HTTP support is deliberately minimal (HTTP/1.0-style: read the request
 //! line, answer, close) — scrapers and `curl` are the only intended
@@ -162,24 +157,11 @@ fn respond(path: &str) -> (&'static str, &'static str, String) {
         None => (path, None),
     };
     match route {
-        "/metrics" => {
-            // Evaluate first so the slo.* gauges land in this scrape,
-            // then append the windowed quantile series.
-            crate::slo::evaluate();
-            let mut body = prometheus::render(&crate::metrics::snapshot());
-            let ring = crate::window::global();
-            let fast = ring.window(crate::window::FAST_WINDOW_INTERVALS);
-            let slow = ring.window(crate::window::SLOW_WINDOW_INTERVALS);
-            let fast_secs = crate::window::FAST_WINDOW_INTERVALS as u64
-                * (ring.interval_us() / 1_000_000).max(1);
-            let slow_secs = crate::window::SLOW_WINDOW_INTERVALS as u64
-                * (ring.interval_us() / 1_000_000).max(1);
-            body.push_str(&prometheus::render_windows(&[
-                (fast_secs, &fast),
-                (slow_secs, &slow),
-            ]));
-            ("200 OK", prometheus::CONTENT_TYPE, body)
-        }
+        "/metrics" => (
+            "200 OK",
+            prometheus::CONTENT_TYPE,
+            prometheus::render(&crate::metrics::snapshot()),
+        ),
         "/snapshot.json" => (
             "200 OK",
             "application/json",
@@ -207,32 +189,10 @@ fn respond(path: &str) -> (&'static str, &'static str, String) {
             "application/json",
             crate::trace::chrome_trace_json().to_string_pretty(),
         ),
-        "/slo.json" => (
-            "200 OK",
-            "application/json",
-            crate::slo::evaluate().to_json().to_string_pretty(),
-        ),
-        "/health" => {
-            let report = crate::slo::evaluate();
-            if report.degraded() {
-                (
-                    "503 Service Unavailable",
-                    "text/plain",
-                    format!("degraded: worst burn rate {:.2}\n", report.worst_burn()),
-                )
-            } else {
-                (
-                    "200 OK",
-                    "text/plain",
-                    format!("ok: worst burn rate {:.2}\n", report.worst_burn()),
-                )
-            }
-        }
         _ => (
             "404 Not Found",
             "text/plain",
-            "404: try /metrics, /snapshot.json, /recorder.json[?since=N], /trace.json, \
-             /slo.json or /health\n"
+            "404: try /metrics, /snapshot.json, /recorder.json[?since=N] or /trace.json\n"
                 .to_owned(),
         ),
     }
@@ -315,50 +275,12 @@ mod tests {
         let (head, body) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.0 404"), "{head}");
         assert!(body.contains("/trace.json"), "{body}");
-        assert!(
-            body.contains("/slo.json") && body.contains("/health"),
-            "{body}"
-        );
 
         handle.shutdown();
         // The listener is gone (connect may briefly succeed on some
         // platforms' backlog, but a fresh bind to the port must work).
         let rebound = TcpListener::bind(addr);
         assert!(rebound.is_ok());
-    }
-
-    #[test]
-    fn slo_and_health_routes_serve_the_live_verdict() {
-        // /metrics and /health run the SLO engine, whose degradation
-        // latch is shared global state — serialize with other tests that
-        // publish through it.
-        let _trace_lock = crate::trace::test_lock();
-        let handle = MetricsServer::bind("127.0.0.1:0").unwrap().spawn().unwrap();
-        let addr = handle.addr();
-
-        let (head, body) = get(addr, "/slo.json");
-        assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-        let doc = crate::json::parse(&body).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(crate::Json::as_str),
-            Some(crate::slo::SCHEMA)
-        );
-        let targets = doc.get("targets").and_then(crate::Json::as_array).unwrap();
-        assert!(targets
-            .iter()
-            .any(|t| t.get("op").and_then(crate::Json::as_str) == Some("engine.knn")));
-
-        // A fresh process has no sustained burn: /health answers 200.
-        let (head, body) = get(addr, "/health");
-        assert!(head.starts_with("HTTP/1.0 200"), "{head}: {body}");
-        assert!(body.starts_with("ok"), "{body}");
-
-        // The scrape carries the SLO gauges and windowed series.
-        let (_, body) = get(addr, "/metrics");
-        assert!(body.contains("slo_burn_rate_engine_knn"), "{body}");
-        assert!(body.contains("slo_budget_remaining_engine_knn"), "{body}");
-
-        handle.shutdown();
     }
 
     #[test]

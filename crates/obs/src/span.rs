@@ -454,7 +454,12 @@ mod tests {
         }
         clear_sink();
         let content = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = content.lines().collect();
+        // The sink is process-global: spans that concurrently running
+        // tests open while it is installed land in the file too.
+        let lines: Vec<&str> = content
+            .lines()
+            .filter(|l| l.contains("\"name\":\"test.span.jsonl\""))
+            .collect();
         assert_eq!(lines.len(), 2, "enter + exit");
         let exit = crate::json::parse(lines[1]).unwrap();
         assert_eq!(exit.get("ev").and_then(Json::as_str), Some("exit"));

@@ -9,9 +9,8 @@
 //! hand-written mirror — runs under the exhaustive interleaving scheduler
 //! in `crates/obs/tests/model.rs`.
 //!
-//! The recorder (its push/drain protocol) and the window ring (its
-//! rotate/seal publish watermark) route through the facade and are
-//! checked end-to-end; span/trace statics cannot be swapped
+//! The recorder (its push/drain protocol) routes through the facade and
+//! is checked end-to-end; span/trace statics cannot be swapped
 //! per-run (`static` + `OnceLock` + `thread_local!` lifetimes), so their
 //! protocols are mirrored in the model tests instead — see DESIGN.md §14
 //! for what that does and doesn't prove.

@@ -26,8 +26,8 @@
 //!   budget ([`set_weight_budget`], default 64), or
 //! * it lost the 1-in-N lottery ([`set_sample_every`], default 16; `1`
 //!   retains everything, `0` disables the lottery), or
-//! * it was slow: wall time reached the SLO threshold ([`set_slo_us`],
-//!   default 10 000 µs).
+//! * it was slow: wall time reached the slow-trace threshold
+//!   ([`set_slo_us`], default 10 000 µs).
 //!
 //! Everything else is dropped on the floor (`trace.captured` vs
 //! `trace.retained` counters measure the ratio). Because the three
@@ -59,7 +59,7 @@
 //! atomic-role: SAMPLE_EVERY = cell — retention lottery knob, same
 //! contract
 //!
-//! atomic-role: SLO_US = cell — slow-query threshold knob, same contract
+//! atomic-role: SLO_US = cell — slow-trace threshold knob, same contract
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -301,7 +301,8 @@ static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(0);
 static WEIGHT_BUDGET: AtomicU64 = AtomicU64::new(64);
 /// Sampler knob: retain every N-th trace (1 = all, 0 = never by lottery).
 static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(16);
-/// Sampler knob: retain traces at least this slow (µs).
+/// Sampler knob: the slow-trace threshold — retain traces at least this
+/// slow (µs).
 static SLO_US: AtomicU64 = AtomicU64::new(10_000);
 
 /// Sets the interest-weight retention budget (`spans × max_depth`).
@@ -315,7 +316,7 @@ pub fn set_sample_every(every: u64) {
     SAMPLE_EVERY.store(every, Ordering::Relaxed);
 }
 
-/// Sets the slow-query retention threshold in microseconds.
+/// Sets the slow-trace threshold (retention) in microseconds.
 pub fn set_slo_us(slo_us: u64) {
     SLO_US.store(slo_us, Ordering::Relaxed);
 }
@@ -330,7 +331,7 @@ pub fn sample_every() -> u64 {
     SAMPLE_EVERY.load(Ordering::Relaxed)
 }
 
-/// The current slow-query retention threshold in microseconds.
+/// The current slow-trace threshold in microseconds.
 pub fn slo_us() -> u64 {
     SLO_US.load(Ordering::Relaxed)
 }
@@ -423,7 +424,8 @@ impl Drop for TraceGuard {
 }
 
 /// The sampler: retain a finished trace iff it is interesting (weight),
-/// lottery-selected (1-in-N), or slow (SLO). See the module docs.
+/// lottery-selected (1-in-N), or slow (slow-trace threshold). See the
+/// module docs.
 fn finalize(trace: Trace) {
     if trace.spans.is_empty() {
         return;
@@ -772,7 +774,7 @@ mod tests {
     fn sampler_retains_by_weight_lottery_and_slo() {
         let _lock = trace_lock();
         clear();
-        // Lottery off, huge budget, huge SLO: a small trace is dropped.
+        // Lottery off, huge budget, huge threshold: a small trace is dropped.
         set_sample_every(0);
         set_weight_budget(u64::MAX);
         set_slo_us(u64::MAX);
@@ -796,7 +798,7 @@ mod tests {
         };
         assert!(find(kept).is_some(), "weight budget must retain");
 
-        // SLO path: everything else off, a 0µs threshold keeps any trace.
+        // Slow path: everything else off, a 0µs threshold keeps any trace.
         set_weight_budget(u64::MAX);
         set_slo_us(0);
         let slow = {
@@ -804,7 +806,7 @@ mod tests {
             let _span = span("engine.knn");
             trace.id()
         };
-        assert!(find(slow).is_some(), "SLO threshold must retain");
+        assert!(find(slow).is_some(), "slow-trace threshold must retain");
         retain_all();
     }
 

@@ -10,9 +10,7 @@
 
 use treesim_obs::model::{explore, verify, AtomicBool, AtomicU64, Failure, Mutex, Options, Stats};
 use treesim_obs::sync::Ordering;
-use treesim_obs::{
-    CounterSnapshot, FlightRecorder, MetricsSnapshot, QueryKind, QueryRecord, WindowRing,
-};
+use treesim_obs::{FlightRecorder, QueryKind, QueryRecord};
 
 fn opts() -> Options {
     Options::default()
@@ -255,124 +253,4 @@ fn trace_ring_snapshots_are_never_torn() {
     )
     .expect("lock-guarded overwrite admits no torn snapshot");
     assert!(stats.schedules > 1, "{stats:?}");
-}
-
-// ---------------------------------------------------------------------
-// Protocol (d): window-ring rotate vs window read — the real production
-// `WindowRing` (crates/obs/src/window.rs routes its mutex and `epoch`
-// atomic through the `sync` facade), plus a raw mirror of the epoch
-// publish pair so the Relaxed regression stays checkable.
-// ---------------------------------------------------------------------
-
-fn counters(value: u64) -> MetricsSnapshot {
-    MetricsSnapshot {
-        counters: vec![CounterSnapshot {
-            name: "test.model.window".to_owned(),
-            value,
-        }],
-        gauges: Vec::new(),
-        histograms: Vec::new(),
-    }
-}
-
-/// A rotator races a window reader on the real `WindowRing`. Under every
-/// schedule the window total is all-or-nothing (never a torn partial
-/// delta), and a reader that observes the sealed watermark at 1 is
-/// guaranteed the full sealed delta — the Release store in `rotate_with`
-/// paired with the mutex/Acquire on the read side.
-#[test]
-fn window_ring_rotation_vs_read_is_sound() {
-    let stats = explore(
-        &opts(),
-        2,
-        || (WindowRing::new(10, 4), Mutex::new(Vec::<(u64, u64)>::new())),
-        |i, (ring, seen)| match i {
-            0 => {
-                // Rotator: establish the baseline at t=0, then seal the
-                // first interval at t=15 with 5 counted queries.
-                ring.rotate_with(0, &counters(0));
-                ring.rotate_with(15, &counters(5));
-            }
-            _ => {
-                let total = ring
-                    .window_with(15, &counters(5), 4)
-                    .counter("test.model.window")
-                    .unwrap_or(0);
-                verify(
-                    total == 0 || total == 5,
-                    "window read observed a torn delta",
-                );
-                let through = ring.sealed_through();
-                seen.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push((through, total));
-            }
-        },
-        |(ring, seen)| {
-            for &(through, total) in seen
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-            {
-                // The watermark can only advance via a seal that
-                // happened-before the reader's rotation, so a reader that
-                // saw epoch 1 must have seen the whole delta.
-                if through == 1 && total != 5 {
-                    return Err(format!("sealed_through=1 but windowed total={total}"));
-                }
-            }
-            if ring.sealed_through() > 1 {
-                return Err("watermark ran past the single sealed epoch".to_owned());
-            }
-            Ok(())
-        },
-    )
-    .expect("window rotation vs read is sound under every bounded schedule");
-    assert!(stats.schedules > 1, "{stats:?}");
-}
-
-/// The epoch publication pair in isolation, parameterized by the
-/// lock-free reader's load ordering: sealed state (mirrored as one slot
-/// word) is written first, then `epoch` is stored with Release;
-/// `sealed_through` loads it with Acquire.
-fn window_epoch_mirror(load_order: Ordering) -> Result<Stats, Failure> {
-    explore(
-        &opts(),
-        2,
-        || (AtomicU64::new(0), AtomicU64::new(0)),
-        move |i, (slot, epoch)| match i {
-            // rotate_with mirror: sealed delta first, watermark second.
-            0 => {
-                slot.store(5, Ordering::Relaxed);
-                epoch.store(1, Ordering::Release);
-            }
-            // Lock-free staleness check mirror: watermark, then state.
-            _ => {
-                if epoch.load(load_order) == 1 {
-                    verify(
-                        slot.load(Ordering::Relaxed) == 5,
-                        "observed the watermark but not the sealed delta",
-                    );
-                }
-            }
-        },
-        |_| Ok(()),
-    )
-}
-
-/// The shipped orderings: Release publish, Acquire read — sound.
-#[test]
-fn window_epoch_acquire_load_is_sound() {
-    let stats = window_epoch_mirror(Ordering::Acquire).expect("Release/Acquire watermark is sound");
-    assert!(stats.schedules > 1, "{stats:?}");
-}
-
-/// Downgrading the watermark load to `Relaxed` lets a reader observe the
-/// epoch without the sealed delta; the checker must find it.
-#[test]
-fn window_epoch_relaxed_load_regression_is_caught() {
-    let failure = window_epoch_mirror(Ordering::Relaxed)
-        .expect_err("the model checker must catch the Relaxed watermark read");
-    assert!(failure.message.contains("sealed delta"), "{failure:?}");
-    assert!(!failure.schedule.is_empty(), "{failure:?}");
 }

@@ -40,7 +40,6 @@ pub mod engine;
 pub mod explain;
 pub mod filter;
 pub mod join;
-pub mod ops;
 pub mod stats;
 pub mod subtree;
 

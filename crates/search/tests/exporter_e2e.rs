@@ -114,32 +114,30 @@ fn metrics_endpoint_serves_valid_exposition_during_batch_traffic() {
     }
     worker.join().expect("traffic thread");
 
-    // The settled scrape carries every advertised family, including the
-    // SLO gauges and the windowed quantile series the scrape itself
-    // evaluates: the batch traffic above all lands in the live partial
-    // interval, so the 5 m window's engine.knn p99 is already non-empty.
+    // The settled scrape carries every advertised family, and nothing
+    // from the removed SLO engine or its window ring: histograms stay
+    // cumulative `_bucket` series that a scraper windows for itself.
     let (_, body) = http_get(addr, "/metrics");
     assert_parses_as_exposition(&body);
-    for family in [
-        "cascade_",
-        "refine_",
-        "recorder_",
-        "engine_knn_",
-        "slo_burn_rate_engine_knn",
-        "slo_budget_remaining_engine_knn",
-    ] {
+    for family in ["cascade_", "refine_", "recorder_", "engine_knn_"] {
         assert!(
             body.lines().any(|l| l.starts_with(family)),
             "missing {family}* family in exposition:\n{body}"
         );
     }
-    let windowed_p99 = body
-        .lines()
-        .find(|l| l.starts_with("window_engine_knn_us_p99{window=\"300s\"}"))
-        .and_then(|l| l.rsplit_once(' '))
-        .and_then(|(_, v)| v.parse::<u64>().ok())
-        .expect("windowed engine.knn p99 series");
-    assert!(windowed_p99 > 0, "p99 over live batch traffic");
+    for removed in ["slo_", "window_"] {
+        assert!(
+            !body
+                .lines()
+                .any(|l| l.trim_start_matches("# TYPE ").starts_with(removed)),
+            "unexpected {removed}* family in exposition:\n{body}"
+        );
+    }
+    assert!(
+        body.lines()
+            .any(|l| l.starts_with("engine_knn_us_bucket{le=\"+Inf\"}")),
+        "engine.knn latency exported as cumulative buckets"
+    );
     // Spot-check the funnel made it through with real traffic behind it.
     let propt_evaluated = body
         .lines()
@@ -200,31 +198,11 @@ fn metrics_endpoint_serves_valid_exposition_during_batch_traffic() {
         .expect("records array");
     assert!(!suffix.is_empty() && suffix.len() < records.len());
 
-    // /slo.json shares the evaluation the scrape published: schema'd,
-    // with the engine.knn latency target carrying the windowed p99.
-    let (head, body) = http_get(addr, "/slo.json");
-    assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-    let doc = treesim_obs::parse_json(&body).expect("slo.json parses");
-    assert_eq!(
-        doc.get("schema").and_then(treesim_obs::Json::as_str),
-        Some(treesim_obs::slo::SCHEMA)
-    );
-    let targets = doc
-        .get("targets")
-        .and_then(treesim_obs::Json::as_array)
-        .expect("targets array");
-    let knn = targets
-        .iter()
-        .find(|t| {
-            t.get("op").and_then(treesim_obs::Json::as_str) == Some("engine.knn")
-                && t.get("kind").and_then(treesim_obs::Json::as_str) == Some("latency_p99")
-        })
-        .expect("engine.knn latency target");
-    let observed = knn
-        .get("observed_us")
-        .and_then(treesim_obs::Json::as_u64)
-        .expect("windowed p99 observed during live traffic");
-    assert!(observed > 0);
+    // The SLO routes are gone with the engine behind them.
+    for removed in ["/slo.json", "/health"] {
+        let (head, _) = http_get(addr, removed);
+        assert!(head.starts_with("HTTP/1.0 404"), "{removed}: {head}");
+    }
 
     handle.shutdown();
 }

@@ -53,7 +53,7 @@ pub struct Token {
 impl Token {
     /// Whether this is punctuation `c`.
     pub fn is_punct(&self, c: char) -> bool {
-        self.kind == TokenKind::Punct && self.value.chars().next() == Some(c)
+        self.kind == TokenKind::Punct && self.value.starts_with(c)
     }
 
     /// Whether this is the identifier `name`.

@@ -44,25 +44,6 @@ const OBS_ALLOWED: &[(&str, &[&str])] = &[
     // context, never through an atomic. No cross-atomic happens-before
     // edge exists to strengthen.
     ("crates/obs/src/trace.rs", &["Relaxed"]),
-    // The manual-clock override cell and its active flag are independent
-    // configuration values: tests that inject time hold the clock's own
-    // mutex for exclusivity, and readers take whatever instant they see
-    // (time is inherently racy to read). No memory is published through
-    // either cell, so Relaxed is the honest ordering.
-    ("crates/obs/src/clock.rs", &["Relaxed"]),
-    // The window ring's `epoch` watermark is a publish flag: the Release
-    // store happens only after sealed deltas are pushed under the ring
-    // mutex, pairing with the Acquire load in `sealed_through()` so a
-    // reader that observes epoch ≥ e also observes every interval sealed
-    // before it (`atomic-role: epoch = publish` in the module docs; the
-    // model checker pins the edge in tests/model.rs).
-    ("crates/obs/src/window.rs", &["Release", "Acquire"]),
-    // The degradation latch and worst-burn cell are a poll-only pair of
-    // independent best-effort values refreshed together by `publish()`;
-    // callers only ever read them for logging, and no other memory is
-    // transferred through them, so Relaxed suffices (the docs' atomic-role
-    // directives say the same).
-    ("crates/obs/src/slo.rs", &["Relaxed"]),
     // The model checker *interprets* orderings rather than relying on
     // them: its classification helpers name Relaxed/Acquire/Release to
     // sort orderings into release/acquire classes, and its own inner
