@@ -2,7 +2,9 @@
 //! `BDist` (and even the positional optimistic bound) is computable in
 //! `O(|T1| + |T2|)`, orders of magnitude cheaper than the Zhang–Shasha
 //! `O(|T1|·|T2|·…)` edit distance — this bench quantifies the gap across
-//! tree sizes 25 / 50 / 100 / 200.
+//! tree sizes 25 / 50 / 100 / 200, and prices the one-matching forms the
+//! search uses: the range test and the `propt` search capped at a k-NN
+//! budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -65,6 +67,25 @@ fn bench_distances(c: &mut Criterion) {
             &size,
             |b, _| b.iter(|| black_box(v1.optimistic_bound(black_box(&v2)))),
         );
+
+        // The same search capped at a k-NN budget between the size
+        // difference and the bound: one PosBDist matching at the cap
+        // settles it.
+        let cap = v1.size_bound(&v2).max(v1.optimistic_bound(&v2) / 2);
+        group.bench_with_input(
+            BenchmarkId::new("optimistic_bound_within", size as u64),
+            &size,
+            |b, _| b.iter(|| black_box(v1.optimistic_bound_within(black_box(&v2), cap))),
+        );
+
+        // The range test: one PosBDist matching at pr = τ.
+        for tau in [2u32, 9] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("exceeds_range_tau{tau}"), size as u64),
+                &size,
+                |b, _| b.iter(|| black_box(v1.exceeds_range(black_box(&v2), tau))),
+            );
+        }
 
         // Vectorization cost (per comparison when done from scratch).
         group.bench_with_input(BenchmarkId::new("vectorize", size as u64), &size, |b, _| {

@@ -19,8 +19,9 @@
 /// A branch occurrence position: (preorder, postorder), both 1-based.
 pub type Pos = (u32, u32);
 
+/// Whether occurrences `x` and `y` may be matched under window `pr`.
 #[inline]
-fn compatible(x: Pos, y: Pos, pr: u32) -> bool {
+pub(crate) fn compatible(x: Pos, y: Pos, pr: u32) -> bool {
     x.0.abs_diff(y.0) <= pr && x.1.abs_diff(y.1) <= pr
 }
 

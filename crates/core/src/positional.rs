@@ -16,7 +16,7 @@ use treesim_tree::Tree;
 
 use crate::branch::{bound_factor, extract_branches};
 use crate::dense::bdist_soa;
-use crate::matching::{max_matching, Pos};
+use crate::matching::{compatible, max_matching, Pos};
 use crate::vocab::{BranchId, BranchVocab, QueryVocab};
 
 /// A borrowed view of one branch dimension with its occurrence positions —
@@ -120,16 +120,10 @@ impl PositionalVector {
     pub fn entries(&self) -> impl Iterator<Item = PosEntryRef<'_>> + '_ {
         self.branch_ids
             .iter()
-            .zip(self.pos_offsets.windows(2))
-            .map(move |(&branch, window)| {
-                let positions = match *window {
-                    [start, end] => self
-                        .positions
-                        .get(start as usize..end as usize)
-                        .unwrap_or(&[]),
-                    _ => &[],
-                };
-                PosEntryRef { branch, positions }
+            .enumerate()
+            .map(move |(index, &branch)| PosEntryRef {
+                branch,
+                positions: self.positions_of(index),
             })
     }
 
@@ -181,41 +175,38 @@ impl PositionalVector {
     /// The positional binary branch distance `PosBDist(T1, T2, pr)`
     /// (Definition 6): unmatched occurrences under the maximum positional
     /// matching with range `pr`, summed over all branches.
+    ///
+    /// Walks the two sorted `branch_ids` lanes by index; only shared
+    /// branches touch the position slab, and a branch occurring once on
+    /// each side is matched by one window test.
     pub fn pos_bdist(&self, other: &PositionalVector, pr: u32) -> u64 {
-        self.merge_distance(other, |a, b| max_matching(a, b, pr))
-    }
-
-    /// Shared merge loop: for each branch, `b1 + b2 − 2·matched` where
-    /// `matcher` computes the matched count on the two position lists.
-    fn merge_distance<F>(&self, other: &PositionalVector, matcher: F) -> u64
-    where
-        F: Fn(&[Pos], &[Pos]) -> usize,
-    {
         assert_eq!(self.q, other.q, "mixing branch levels");
-        let mut distance = 0u64;
-        let mut left = self.entries().peekable();
-        let mut right = other.entries().peekable();
-        while let (Some(&a), Some(&b)) = (left.peek(), right.peek()) {
-            match a.branch.cmp(&b.branch) {
-                std::cmp::Ordering::Less => {
-                    distance += a.positions.len() as u64;
-                    left.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    distance += b.positions.len() as u64;
-                    right.next();
-                }
+        let (left, right) = (&self.branch_ids, &other.branch_ids);
+        let (mut i, mut j) = (0, 0);
+        let mut matched = 0u64;
+        while i < left.len() && j < right.len() {
+            match left[i].cmp(&right[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    let matched = matcher(a.positions, b.positions) as u64;
-                    distance += a.positions.len() as u64 + b.positions.len() as u64 - 2 * matched;
-                    left.next();
-                    right.next();
+                    matched += match (self.positions_of(i), other.positions_of(j)) {
+                        (&[x], &[y]) => u64::from(compatible(x, y, pr)),
+                        (xs, ys) => max_matching(xs, ys, pr) as u64,
+                    };
+                    i += 1;
+                    j += 1;
                 }
             }
         }
-        distance += left.map(|entry| entry.positions.len() as u64).sum::<u64>();
-        distance += right.map(|entry| entry.positions.len() as u64).sum::<u64>();
-        distance
+        // Every occurrence outside a matched pair counts once.
+        (self.positions.len() + other.positions.len()) as u64 - 2 * matched
+    }
+
+    /// The occurrence positions of entry `index`.
+    fn positions_of(&self, index: usize) -> &[Pos] {
+        let start = self.pos_offsets[index] as usize;
+        let end = self.pos_offsets[index + 1] as usize;
+        &self.positions[start..end]
     }
 
     /// The optimistic lower bound `propt` of §4.2 / Algorithm 2
@@ -228,41 +219,99 @@ impl PositionalVector {
     /// is the size bound itself; otherwise the predicate fails at
     /// `propt − 1`, so by Proposition 4.2 `EDist > propt − 1`.
     pub fn optimistic_bound(&self, other: &PositionalVector) -> u64 {
-        self.optimistic_bound_counted(other).0
+        self.optimistic_bound_within(other, u64::MAX)
     }
 
-    /// [`PositionalVector::optimistic_bound`] plus the number of binary
-    /// search iterations it took (0 when the predicate already holds at
-    /// `pr_min`) — the cost driver the `cascade.propt.iters` histogram
-    /// tracks.
-    pub fn optimistic_bound_counted(&self, other: &PositionalVector) -> (u64, u32) {
+    /// `propt` for a caller that needs it only up to `cap` (a k-NN search
+    /// whose live k-th distance is `cap`): exactly
+    /// [`PositionalVector::optimistic_bound`] when that is `≤ cap`, and
+    /// `cap + 1` otherwise — still a lower bound, as `propt > cap`.
+    pub fn optimistic_bound_within(&self, other: &PositionalVector, cap: u64) -> u64 {
+        self.optimistic_bound_within_counted(other, cap).0
+    }
+
+    /// [`PositionalVector::optimistic_bound_within`] plus the number of
+    /// `PosBDist` matchings it ran — the cost driver the
+    /// `cascade.propt.iters` histogram tracks.
+    ///
+    /// The predicate `PosBDist(pr) ≤ factor·pr` is monotone in `pr`
+    /// (`PosBDist` is non-increasing while `factor·pr` grows) and holds at
+    /// `pr_max`, so it fails at `pr` exactly when `propt > pr`. A cap below
+    /// `pr_max` is therefore tested first: one failed matching proves
+    /// `propt > cap`. Otherwise the binary search runs over
+    /// `[pr_min, min(cap, pr_max)]`, trying `pr_min` first.
+    pub fn optimistic_bound_within_counted(
+        &self,
+        other: &PositionalVector,
+        cap: u64,
+    ) -> (u64, u32) {
         let factor = bound_factor(self.q);
+        let mut probes = 0u32;
+        let mut holds = |pr: u32| {
+            probes += 1;
+            self.pos_bdist(other, pr) <= factor * u64::from(pr)
+        };
         let pr_min = self.tree_size.abs_diff(other.tree_size);
         let pr_max = self.tree_size.max(other.tree_size);
-        if self.pos_bdist(other, pr_min) <= factor * u64::from(pr_min) {
-            self.check_cascade_order(other, u64::from(pr_min));
-            return (u64::from(pr_min), 0);
+        let mut limit = pr_max;
+        if let Ok(cap) = u32::try_from(cap) {
+            if cap < pr_min {
+                return (u64::from(cap) + 1, 0);
+            }
+            if cap < pr_max {
+                if !holds(cap) {
+                    self.check_capped(other, cap, u64::from(cap) + 1);
+                    return (u64::from(cap) + 1, probes);
+                }
+                limit = cap;
+            }
         }
-        // Binary search the smallest satisfying pr in (pr_min, pr_max].
-        // The predicate is monotone: PosBDist is non-increasing in pr while
-        // factor·pr increases.
-        let (mut lo, mut hi) = (pr_min + 1, pr_max);
-        let mut iterations = 0u32;
+        let (mut lo, mut hi) = (pr_min, limit);
+        if lo < hi {
+            if holds(lo) {
+                hi = lo;
+            } else {
+                lo += 1;
+            }
+        }
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.pos_bdist(other, mid) <= factor * u64::from(mid) {
+            if holds(mid) {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
-            iterations += 1;
         }
         debug_assert!(
             self.pos_bdist(other, lo) <= factor * u64::from(lo),
-            "predicate must hold at pr_max"
+            "predicate must hold at the searched bound"
         );
         self.check_cascade_order(other, u64::from(lo));
-        (u64::from(lo), iterations)
+        if limit < pr_max {
+            self.check_capped(other, limit, u64::from(lo));
+        }
+        (u64::from(lo), probes)
+    }
+
+    /// `strict-checks` invariant: a search capped below `pr_max` answers
+    /// what the full search implies — `propt` itself when it is `≤ cap`,
+    /// `cap + 1` otherwise.
+    #[inline]
+    #[allow(unused_variables)]
+    fn check_capped(&self, other: &PositionalVector, cap: u32, bound: u64) {
+        #[cfg(feature = "strict-checks")]
+        {
+            let propt = self.optimistic_bound(other);
+            let expected = if propt <= u64::from(cap) {
+                propt
+            } else {
+                u64::from(cap) + 1
+            };
+            debug_assert_eq!(
+                bound, expected,
+                "capped propt diverged from the full search (propt = {propt}, cap = {cap})"
+            );
+        }
     }
 
     /// `strict-checks` invariant: the cascade is ordered —
@@ -284,13 +333,24 @@ impl PositionalVector {
 
     /// Range-query pruning test (§4.3): prune `other` from a query with
     /// radius `tau` when it provably cannot be within edit distance `tau`.
-    /// Combines Proposition 4.2 at `l = tau` with the optimistic bound.
+    ///
+    /// Combines Proposition 4.2 at `l = tau` with the optimistic bound,
+    /// `PosBDist(tau) > factor·tau || propt > tau`. By the monotonicity of
+    /// `propt`'s predicate, `propt > tau` holds exactly when
+    /// `tau < pr_min` or the predicate fails at `tau` — which is the first
+    /// test — so one matching at `pr = tau` answers both.
     pub fn exceeds_range(&self, other: &PositionalVector, tau: u32) -> bool {
         let factor = bound_factor(self.q);
-        if self.pos_bdist(other, tau) > factor * u64::from(tau) {
-            return true;
-        }
-        self.optimistic_bound(other) > u64::from(tau)
+        let exceeds = u64::from(tau) < self.size_bound(other)
+            || self.pos_bdist(other, tau) > factor * u64::from(tau);
+        #[cfg(feature = "strict-checks")]
+        debug_assert_eq!(
+            exceeds,
+            self.pos_bdist(other, tau) > factor * u64::from(tau)
+                || self.optimistic_bound(other) > u64::from(tau),
+            "one-matching range test diverged from the two-step form at tau = {tau}"
+        );
+        exceeds
     }
 }
 
@@ -364,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn counted_bound_matches_and_bounds_iterations() {
+    fn counted_bound_matches_and_bounds_probes() {
         let cases = [
             ("a(b(c(d)) b e)", "a(c(d) b e)"),
             ("a(b c)", "x(y z)"),
@@ -374,19 +434,30 @@ mod tests {
         ];
         for (x, y) in cases {
             let (v1, v2, t1, t2) = vectors(x, y, 2);
-            let (bound, iterations) = v1.optimistic_bound_counted(&v2);
+            let (bound, probes) = v1.optimistic_bound_within_counted(&v2, u64::MAX);
             assert_eq!(bound, v1.optimistic_bound(&v2), "{x} vs {y}");
-            // A binary search over (pr_min, pr_max] takes at most
-            // ⌈log2(range)⌉ + 1 probes; tree sizes bound the range.
+            // One matching at pr_min, then a binary search over
+            // (pr_min, pr_max] of at most ⌈log2(range)⌉ + 1 probes; tree
+            // sizes bound the range.
             let range = t1.len().max(t2.len()) as u32 + 1;
             assert!(
-                iterations <= range.ilog2() + 2,
-                "{iterations} iterations for range {range} on {x} vs {y}"
+                probes <= range.ilog2() + 3,
+                "{probes} probes for range {range} on {x} vs {y}"
             );
+            // A cap the bound exceeds is settled by one matching.
+            if let Some(cap) = bound.checked_sub(1) {
+                if cap >= v1.size_bound(&v2) {
+                    assert_eq!(
+                        v1.optimistic_bound_within_counted(&v2, cap),
+                        (bound, 1),
+                        "{x} vs {y}"
+                    );
+                }
+            }
         }
-        // Identical trees satisfy the predicate at pr_min = 0 immediately.
+        // Identical trees satisfy the predicate at pr_min = 0 at once.
         let (v1, v2, _, _) = vectors("a(b c)", "a(b c)", 2);
-        assert_eq!(v1.optimistic_bound_counted(&v2), (0, 0));
+        assert_eq!(v1.optimistic_bound_within_counted(&v2, u64::MAX), (0, 1));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Aggregate counters answer "how is the system doing"; the recorder
 //! answers "why was *this* query slow". Every engine / batch / dynamic
 //! query path deposits one [`QueryRecord`] — kind, parameter, per-stage
-//! funnel counts, propt binary-search iterations, refine count and
+//! funnel counts, propt `PosBDist` matchings, refine count and
 //! Zhang–Shasha node total, wall time, result summary — into the global
 //! ring. Memory is O(capacity) forever: the ring is sharded across
 //! mutexes, every shard's slot vector is preallocated at construction,
@@ -122,7 +122,7 @@ pub struct QueryRecord {
     pub stages: [StageRecord; MAX_STAGES],
     /// Number of valid entries in `stages`.
     pub stage_count: u8,
-    /// Binary-search iterations spent in propt bounds for this query.
+    /// `PosBDist` matchings the propt bounds of this query ran.
     pub propt_iters: u64,
     /// Candidates that reached exact Zhang–Shasha refinement.
     pub refined: u64,
@@ -464,13 +464,13 @@ pub fn record_query(mut record: QueryRecord) -> u64 {
 }
 
 thread_local! {
-    /// Propt binary-search iterations accumulated since the last `take`.
+    /// Propt `PosBDist` matchings accumulated since the last `take`.
     static PROPT_ITERS: Cell<u64> = const { Cell::new(0) };
     /// Nesting depth of batch drivers on this thread.
     static BATCH_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Adds `n` propt binary-search iterations to this thread's per-query
+/// Adds `n` propt `PosBDist` matchings to this thread's per-query
 /// accumulator (called from deep inside the filter bound).
 pub fn propt_iters_add(n: u64) {
     PROPT_ITERS.with(|c| c.set(c.get().saturating_add(n)));

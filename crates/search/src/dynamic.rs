@@ -306,10 +306,15 @@ impl DynamicIndex {
         let mut zs_nodes = 0u64;
         let mut heap: BinaryHeap<(u64, u32)> = BinaryHeap::with_capacity(k + 1);
         while let Some(&Reverse((bound, next_stage, raw))) = escalation.peek() {
-            if let Some(&(worst, _)) = heap.peek().filter(|_| heap.len() == k) {
-                if bound > worst {
-                    break;
-                }
+            // Same live budget as the static core: the current k-th
+            // distance once the heap is full (equal distances still need
+            // the exact value for id tie-breaking).
+            let budget = match heap.peek() {
+                Some(&(worst, _)) if heap.len() == k => worst,
+                _ => u64::MAX,
+            };
+            if bound > budget {
+                break;
             }
             escalation.pop();
             if next_stage == 1 {
@@ -319,21 +324,15 @@ impl DynamicIndex {
                 }
                 escalation.push(Reverse((bound.max(sharper), 2, raw)));
             } else if next_stage == 2 {
+                // Capped at the budget, as in the static core.
                 let sharper =
-                    crate::filter::propt_bound(&query_vector, &self.vectors[raw as usize]);
+                    crate::filter::propt_bound(&query_vector, &self.vectors[raw as usize], budget);
                 if let Some(stage2) = stats.stages.get_mut(2) {
                     stage2.evaluated += 1;
                 }
                 escalation.push(Reverse((bound.max(sharper), 3, raw)));
             } else {
                 let data_info = &self.infos[raw as usize];
-                // Same live budget as the static core: the current k-th
-                // distance once the heap is full (equal distances still
-                // need the exact value for id tie-breaking).
-                let budget = match heap.peek() {
-                    Some(&(worst, _)) if heap.len() == k => worst,
-                    _ => u64::MAX,
-                };
                 let refined = refine_bounded(
                     &query_info,
                     data_info,

@@ -392,31 +392,36 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         // equal distances the smallest ids survive.
         let mut heap: BinaryHeap<(u64, TreeId)> = BinaryHeap::with_capacity(k + 1);
         while let Some(&Reverse((bound, next_stage, id))) = escalation.peek() {
-            if let Some(&(worst, _)) = heap.peek().filter(|_| heap.len() == k) {
-                if bound > worst {
-                    break; // no outstanding candidate can improve the result
-                }
+            // The live budget is the current k-th distance once the heap
+            // is full: a candidate strictly beyond it would be pushed and
+            // immediately evicted; at exactly the budget the exact
+            // distance is still needed for the `(distance, id)` tie-break.
+            let budget = match heap.peek() {
+                Some(&(worst, _)) if heap.len() == k => worst,
+                _ => u64::MAX,
+            };
+            if bound > budget {
+                break; // no outstanding candidate can improve the result
             }
             escalation.pop();
             if next_stage < stage_count {
                 // Sharpen with the next cascade stage; keep the running
-                // max (stages need not be pointwise monotone).
+                // max (stages need not be pointwise monotone). The stage
+                // need only be exact up to the budget: a bound capped
+                // above it is still above it, and as the budget only falls
+                // the candidate is never popped again — the same fate the
+                // exact bound gives it.
                 let stage_start = Instant::now();
-                let sharper = self.filter.stage_bound(&query_artifact, id, next_stage) * scale;
+                let sharper =
+                    self.filter
+                        .stage_bound_within(&query_artifact, id, next_stage, budget / scale)
+                        * scale;
                 stats.stages[next_stage].time += stage_start.elapsed();
                 stats.stages[next_stage].evaluated += 1;
                 observer.on_stage_bound(id, next_stage, sharper);
                 escalation.push(Reverse((bound.max(sharper), next_stage + 1, id)));
             } else {
-                // The live budget is the current k-th distance once the
-                // heap is full: a candidate strictly beyond it would be
-                // pushed and immediately evicted, so the bounded DP may
-                // cut it off; at exactly the budget the exact distance is
-                // still needed for the `(distance, id)` tie-break.
-                let budget = match heap.peek() {
-                    Some(&(worst, _)) if heap.len() == k => worst,
-                    _ => u64::MAX,
-                };
+                // The bounded DP may cut off anything beyond the budget.
                 let refine_start = Instant::now();
                 let refined = self.refine(
                     &query_info,

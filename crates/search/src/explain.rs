@@ -29,7 +29,11 @@ pub struct StageEval {
     pub stage: usize,
     /// The computed lower bound (cost space), or `None` for the final
     /// range stage, whose sharpest predicate certifies `EDist > τ`
-    /// without materializing a bound value.
+    /// without materializing a bound value. A k-NN stage evaluated once
+    /// the result heap is full may stop at the live k-th distance
+    /// ([`crate::Filter::stage_bound_within`]): its bound is then the
+    /// smallest value that proves the candidate beyond it (for `propt`,
+    /// `budget + 1` operations), not the stage's full bound.
     pub bound: Option<u64>,
 }
 

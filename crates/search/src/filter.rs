@@ -60,6 +60,22 @@ pub trait Filter {
         self.lower_bound(query, candidate)
     }
 
+    /// [`Filter::stage_bound`] for a caller that only needs the bound up
+    /// to `cap` (k-NN, whose live k-th distance prunes anything above
+    /// it): equals `stage_bound` whenever that is `≤ cap`, and otherwise
+    /// may return any value in `(cap, stage_bound]` — still a lower bound,
+    /// and still above the cap. The default computes `stage_bound`;
+    /// filters whose stage can stop early at the cap override this.
+    fn stage_bound_within(
+        &self,
+        query: &Self::Query,
+        candidate: TreeId,
+        stage: usize,
+        _cap: u64,
+    ) -> u64 {
+        self.stage_bound(query, candidate, stage)
+    }
+
     /// Range-query pruning: `true` only if `EDist(query, candidate) > tau`
     /// is certain. The default tests the generic lower bound; filters with
     /// sharper range predicates (Proposition 4.2) override this.
@@ -204,15 +220,17 @@ impl BiBranchFilter {
     }
 }
 
-/// The `propt` bound with observability: records how many binary-search
-/// iterations the §4.2 probe took into the `cascade.propt.iters`
+/// The `propt` bound capped at `cap` (see
+/// [`PositionalVector::optimistic_bound_within`]; `u64::MAX` gives the
+/// exact bound) with observability: records how many `PosBDist`
+/// matchings the capped §4.2 search ran into the `cascade.propt.iters`
 /// histogram and into the flight recorder's per-query thread-local
-/// accumulator. Shared by [`BiBranchFilter`] and the dynamic index so
-/// every propt evaluation is counted the same way.
-pub(crate) fn propt_bound(query: &PositionalVector, data: &PositionalVector) -> u64 {
-    let (bound, iterations) = query.optimistic_bound_counted(data);
-    treesim_obs::histogram!("cascade.propt.iters").record(u64::from(iterations));
-    treesim_obs::recorder::propt_iters_add(u64::from(iterations));
+/// accumulator. Shared by the filters and the dynamic index so every
+/// propt evaluation is counted the same way.
+pub(crate) fn propt_bound(query: &PositionalVector, data: &PositionalVector, cap: u64) -> u64 {
+    let (bound, probes) = query.optimistic_bound_within_counted(data, cap);
+    treesim_obs::histogram!("cascade.propt.iters").record(u64::from(probes));
+    treesim_obs::recorder::propt_iters_add(u64::from(probes));
     bound
 }
 
@@ -241,7 +259,7 @@ impl Filter for BiBranchFilter {
         match self.mode {
             BiBranchMode::Plain => self.bdist_bound(query, candidate),
             BiBranchMode::Positional => {
-                propt_bound(&query.vector, &self.vectors[candidate.index()])
+                propt_bound(&query.vector, &self.vectors[candidate.index()], u64::MAX)
             }
         }
     }
@@ -265,6 +283,17 @@ impl Filter for BiBranchFilter {
     }
 
     fn stage_bound(&self, query: &BiBranchQuery, candidate: TreeId, stage: usize) -> u64 {
+        self.stage_bound_within(query, candidate, stage, u64::MAX)
+    }
+
+    /// Caps the `propt` stage's search; the other stages are exact.
+    fn stage_bound_within(
+        &self,
+        query: &BiBranchQuery,
+        candidate: TreeId,
+        stage: usize,
+        cap: u64,
+    ) -> u64 {
         match stage {
             0 => u64::from(
                 query
@@ -273,7 +302,7 @@ impl Filter for BiBranchFilter {
                     .abs_diff(self.arena.tree_size(candidate.index() as u32)),
             ),
             1 => self.bdist_bound(query, candidate),
-            _ => propt_bound(&query.vector, &self.vectors[candidate.index()]),
+            _ => propt_bound(&query.vector, &self.vectors[candidate.index()], cap),
         }
     }
 
@@ -523,7 +552,7 @@ impl Filter for PostingsFilter {
     }
 
     fn lower_bound(&self, query: &PostingsQuery, candidate: TreeId) -> u64 {
-        propt_bound(&query.vector, &self.vectors[candidate.index()])
+        propt_bound(&query.vector, &self.vectors[candidate.index()], u64::MAX)
     }
 
     /// Cascade: the posting-merge bound, the O(1) size screen, optionally
@@ -549,6 +578,17 @@ impl Filter for PostingsFilter {
     }
 
     fn stage_bound(&self, query: &PostingsQuery, candidate: TreeId, stage: usize) -> u64 {
+        self.stage_bound_within(query, candidate, stage, u64::MAX)
+    }
+
+    /// Caps the `propt` stage's search; the other stages are exact.
+    fn stage_bound_within(
+        &self,
+        query: &PostingsQuery,
+        candidate: TreeId,
+        stage: usize,
+        cap: u64,
+    ) -> u64 {
         match (stage, self.histograms.is_some()) {
             (0, _) => self.postings_bound(query, candidate),
             (1, _) => u64::from(
@@ -564,7 +604,7 @@ impl Filter for PostingsFilter {
                 _ => unreachable!("histo stage without histograms"),
             },
             (2, false) | (3, true) => self.bdist_bound(query, candidate),
-            _ => propt_bound(&query.vector, &self.vectors[candidate.index()]),
+            _ => propt_bound(&query.vector, &self.vectors[candidate.index()], cap),
         }
     }
 
@@ -945,6 +985,16 @@ mod tests {
                         filter.name(),
                         filter.stage_name(stage),
                     );
+                    // A capped stage is exact up to the cap and above it
+                    // beyond the cap.
+                    for cap in 0..=4u64 {
+                        let within = filter.stage_bound_within(&query, id, stage, cap);
+                        assert!(
+                            within == staged || (cap < within && within < staged),
+                            "{} stage {stage}: capped at {cap} gave {within}, full {staged}",
+                            filter.name(),
+                        );
+                    }
                 }
                 assert_eq!(
                     filter.stage_bound(&query, id, filter.stages() - 1),

@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 use treesim_datagen::normal::Normal;
 use treesim_datagen::synthetic::{generate, SyntheticConfig};
-use treesim_search::{BiBranchFilter, BiBranchMode, HistogramFilter, SearchEngine, Verdict};
+use treesim_search::{
+    BiBranchFilter, BiBranchMode, Filter, HistogramFilter, SearchEngine, Verdict,
+};
 use treesim_tree::{Forest, TreeId};
 
 fn random_forest(seed: u64, count: usize) -> Forest {
@@ -127,4 +129,48 @@ fn explain_on_a_thousand_tree_corpus_telescopes() {
         rendered.contains("more rows"),
         "long corpus renders truncated"
     );
+}
+
+/// A k-NN candidate pruned at `propt` shows the bound that proved the
+/// prune: the search stops at the live k-th distance, so the verdict's
+/// bound exceeds the final k-th distance yet never exceeds the full
+/// `propt` stage bound, and the verdicts still telescope to the funnel.
+#[test]
+fn knn_propt_verdicts_show_the_capped_bound() {
+    let forest = generate(&SyntheticConfig {
+        fanout: Normal::new(4.0, 0.5),
+        size: Normal::new(40.0, 2.0),
+        label_count: 8,
+        decay: 0.05,
+        seed_count: 4,
+        tree_count: 200,
+        rng_seed: 77,
+    });
+    let filter = BiBranchFilter::build(&forest, 2, BiBranchMode::Positional);
+    let engine = SearchEngine::new(&forest, filter);
+    let propt = engine.filter().stages() - 1;
+    let (mut pruned, mut capped) = (0usize, 0usize);
+    for query_id in [3u32, 41, 150, 199] {
+        let query = forest.tree(TreeId(query_id));
+        let report = engine.explain_knn(query, 3);
+        assert!(report.check_consistency().is_ok());
+        let kth = report.results.last().map_or(0, |n| n.distance);
+        let artifact = engine.filter().prepare_query(query);
+        for candidate in &report.candidates {
+            if let Verdict::Pruned { stage, bound } = candidate.verdict {
+                if stage != propt {
+                    continue;
+                }
+                let full = engine
+                    .filter()
+                    .stage_bound(&artifact, candidate.tree, propt);
+                assert!(bound > kth, "verdict bound {bound} ≤ k-th distance {kth}");
+                assert!(bound <= full, "verdict bound {bound} > full propt {full}");
+                pruned += 1;
+                capped += usize::from(bound < full);
+            }
+        }
+    }
+    assert!(pruned > 0, "no candidate was pruned at propt");
+    assert!(capped > 0, "no propt verdict showed a capped bound");
 }
