@@ -3,15 +3,15 @@
 //! `O(|T1| + |T2|)`, orders of magnitude cheaper than the Zhang–Shasha
 //! `O(|T1|·|T2|·…)` edit distance — this bench quantifies the gap across
 //! tree sizes 25 / 50 / 100 / 200, and prices the one-matching forms the
-//! search uses: the range test and the `propt` search capped at a k-NN
-//! budget.
+//! search uses: the range test, the `propt` search capped at a k-NN
+//! budget, and the refinement bounded by a range radius.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use treesim_core::{BranchVocab, PositionalVector};
 use treesim_datagen::normal::Normal;
 use treesim_datagen::synthetic::{generate, SyntheticConfig};
-use treesim_edit::{zhang_shasha, TreeInfo, UnitCost, ZsWorkspace};
+use treesim_edit::{bounded_zhang_shasha, zhang_shasha, TreeInfo, UnitCost, ZsWorkspace};
 use treesim_tree::{Forest, TreeId};
 
 fn pair_of_size(size: f64) -> Forest {
@@ -52,6 +52,27 @@ fn bench_distances(c: &mut Criterion) {
                 })
             },
         );
+
+        // The banded refinement at the two range radii perfbench uses: the
+        // band covers |di − dj| ≤ τ of every keyroot subproblem.
+        for tau in [2u64, 9] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("bounded_zhang_shasha_tau{tau}"), size as u64),
+                &size,
+                |b, _| {
+                    let mut workspace = ZsWorkspace::new();
+                    b.iter(|| {
+                        black_box(bounded_zhang_shasha(
+                            black_box(&info1),
+                            black_box(&info2),
+                            &UnitCost,
+                            tau,
+                            &mut workspace,
+                        ))
+                    })
+                },
+            );
+        }
 
         // Plain binary branch distance on prebuilt vectors.
         let mut vocab = BranchVocab::new(2);

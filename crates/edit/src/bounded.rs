@@ -10,7 +10,7 @@
 //! confines the interesting part of each forest-distance table to a band of
 //! width `O(τ)` around the diagonal.
 //!
-//! Three pruning layers, all exact (no false dismissals — see DESIGN §11):
+//! Three pruning layers, all exact (no false dismissals — see DESIGN §12):
 //!
 //! 1. **Entry cutoff**: the whole-tree size / height / leaf-count lower
 //!    bounds of [`crate::bounds`] are checked before any DP memory is
@@ -23,14 +23,16 @@
 //!    forest-distance subproblem is skipped.
 //! 3. **Band pruning**: inside a subproblem, a forest pair whose sizes
 //!    differ by more than `B = ⌊τ / min_op⌋` costs more than `τ`; only the
-//!    `|di − dj| ≤ B` band is computed, and every read outside the band (or
-//!    of a tree-distance cell whose size / height / prefix / suffix gap
-//!    exceeds `B`) yields the sentinel `τ + 1` instead of touching memory.
+//!    `|di − dj| ≤ B` band is computed. Each row starts from the sentinel
+//!    `τ + 1` at its left band edge and writes it just past its right edge,
+//!    so the delete, insert and relabel reads need no band test; the split
+//!    read of a forest cell tests the band once.
 //!
-//! The key invariant is that every computed cell `c` satisfies
-//! `c ≥ min(true, τ + 1)`, with equality `c = true` on every cell a
-//! `≤ τ` derivation of the root can reach — so `Some(d)` is always the true
-//! distance and `None` is returned iff the true distance exceeds `τ`.
+//! Tree-distance cells are read unguarded: the table starts every call at
+//! `τ + 1` and every cell written satisfies `c ≥ min(true, τ + 1)`, while the
+//! root is at most what a kernel guarding every such read computes (exact
+//! when `d ≤ τ`). So `Some(d)` is always the true distance and `None` is
+//! returned iff the true distance exceeds `τ` (DESIGN §12).
 
 use treesim_tree::Tree;
 
@@ -107,7 +109,7 @@ pub fn bounded_zhang_shasha<C: CostModel>(
 
     // Entry cutoff: whole-tree lower bounds, no DP memory touched.
     let size_gap = (n1 as u64).abs_diff(n2 as u64);
-    let height_gap = info1.height_at(n1 - 1).abs_diff(info2.height_at(n2 - 1));
+    let height_gap = info1.height().abs_diff(info2.height());
     let leaf_gap = (info1.leaf_count() as u64).abs_diff(info2.leaf_count() as u64);
     if size_gap > band || height_gap > band || leaf_gap > band {
         stats.cells_skipped = cells_full;
@@ -129,7 +131,7 @@ pub fn bounded_zhang_shasha<C: CostModel>(
 
     // `inf` is the smallest sentinel that still proves "> tau"; using it
     // (rather than a huge constant) keeps saturating arithmetic exact for
-    // any cost scale. Every guarded read substitutes `inf` for the cell.
+    // any cost scale. Cells no subproblem writes keep it.
     let inf = tau.saturating_add(1);
     let b = band as usize; // band < max(n1, n2) here, so this fits.
 
@@ -142,18 +144,15 @@ pub fn bounded_zhang_shasha<C: CostModel>(
 
     for &k1 in info1.keyroots() {
         for &k2 in info2.keyroots() {
-            let region = info1.subtree_size(k1) as u64 * info2.subtree_size(k2) as u64;
             if skip_subproblem(info1, info2, k1, k2, band) {
                 stats.subproblems_skipped += 1;
-                stats.cells_skipped += region;
                 continue;
             }
-            let computed =
+            stats.cells_computed +=
                 compute_bounded_treedist(info1, info2, k1, k2, cost, td, fd, stride, b, inf);
-            stats.cells_computed += computed;
-            stats.cells_skipped += region - computed;
         }
     }
+    stats.cells_skipped = cells_full - stats.cells_computed;
 
     let d = td[n1 * stride + n2];
     if d > tau {
@@ -184,7 +183,7 @@ fn full_cells(info1: &TreeInfo, info2: &TreeInfo) -> u64 {
 /// prefixes onto each other and the postorder suffixes onto each other, so
 /// if the prefix gap — or the *minimum* suffix gap over the whole index
 /// rectangle — exceeds the band, none of those cells can participate in a
-/// `≤ τ` derivation and the guarded reads will never look at them.
+/// `≤ τ` derivation, and leaving them at `inf` cannot change the answer.
 fn skip_subproblem(info1: &TreeInfo, info2: &TreeInfo, k1: usize, k2: usize, band: u64) -> bool {
     let l1 = info1.leftmost_leaf(k1);
     let l2 = info2.leftmost_leaf(k2);
@@ -208,11 +207,11 @@ fn skip_subproblem(info1: &TreeInfo, info2: &TreeInfo, k1: usize, k2: usize, ban
 
 /// Banded version of `compute_treedist` for keyroot pair `(k1, k2)`.
 ///
-/// Returns the number of cells evaluated. All reads are guarded: a read
-/// outside the `|di − dj| ≤ band` diagonal band — or of a tree-distance
-/// cell whose size / height / prefix / suffix gap exceeds the band — yields
-/// `inf` instead of memory, which makes skipped subproblems, pruned rows,
-/// and out-of-band stale cells invisible to the recurrence.
+/// Returns the number of cells evaluated. Each row of the `|di − dj| ≤ band`
+/// band starts from `inf` at its left edge and writes `inf` just past its
+/// right edge, so delete, insert and relabel reads never see a stale cell of
+/// an earlier subproblem; only the split read `fd(li − 1, lj − 1)` tests the
+/// band. Tree-distance reads are plain (DESIGN §12).
 #[allow(clippy::too_many_arguments)]
 fn compute_bounded_treedist<C: CostModel>(
     info1: &TreeInfo,
@@ -226,92 +225,91 @@ fn compute_bounded_treedist<C: CostModel>(
     band: usize,
     inf: u64,
 ) -> u64 {
-    let n1 = info1.len();
-    let n2 = info2.len();
     // 1-based postorder ranges [l1 .. k1+1] × [l2 .. k2+1], as in the
-    // classic DP; index 0 is the empty-forest boundary.
+    // classic DP; index 0 is the empty-forest boundary. The loops run in
+    // band coordinates di = i − (l1 − 1), dj = j − (l2 − 1) — the left
+    // forest sizes — and fd(i, j) ≥ |di − dj| · min_op, so outside the band
+    // the cell is provably > tau.
     let l1 = info1.leftmost_leaf(k1) + 1;
     let l2 = info2.leftmost_leaf(k2) + 1;
-    let i_hi = k1 + 1;
-    let j_hi = k2 + 1;
-    let at = |i: usize, j: usize| i * stride + j;
-    // Band coordinates: di = i − (l1 − 1), dj = j − (l2 − 1) are the left
-    // forest sizes; fd(i, j) ≥ |di − dj| · min_op, so outside the band the
-    // cell is provably > tau.
-    let in_band = |i: usize, j: usize| {
-        let di = i - (l1 - 1);
-        let dj = j - (l2 - 1);
-        di.abs_diff(dj) <= band
-    };
-    let fd_read = |fd: &[u64], i: usize, j: usize| {
-        if in_band(i, j) {
-            fd[at(i, j)]
-        } else {
-            inf
-        }
-    };
-    // Guarded tree-distance read for 1-based node pair (a, b): each gap is
-    // a lower bound (scaled by min_op) on either the subtree distance
-    // itself (size, height) or on any global mapping that matches a ↔ b
-    // (prefix, suffix) — see DESIGN §11.
-    let td_read = |td: &[u64], a: usize, b: usize| {
-        let (a0, b0) = (a - 1, b - 1);
-        let size_gap = (info1.subtree_size(a0) as u64).abs_diff(info2.subtree_size(b0) as u64);
-        let height_gap = info1.height_at(a0).abs_diff(info2.height_at(b0));
-        let prefix_gap = (info1.leftmost_leaf(a0) as u64).abs_diff(info2.leftmost_leaf(b0) as u64);
-        let suffix_gap = ((n1 - a) as u64).abs_diff((n2 - b) as u64);
-        let band = band as u64;
-        if size_gap > band || height_gap > band || prefix_gap > band || suffix_gap > band {
-            inf
-        } else {
-            td[at(a, b)]
-        }
-    };
+    // Subtree sizes: di runs over 0..=m1 and dj over 0..=m2.
+    let m1 = info1.subtree_size(k1);
+    let m2 = info2.subtree_size(k2);
+    let width = m2 + 1;
+    // Node i = l1 − 1 + di has label labels1[di − 1]; likewise for T2.
+    let labels1 = &info1.labels()[l1 - 1..=k1];
+    let lml1 = &info1.leftmost_leaves()[l1 - 1..=k1];
+    let labels2 = &info2.labels()[l2 - 1..=k2];
+    let lml2 = &info2.leftmost_leaves()[l2 - 1..=k2];
+    // Row `di` of the subproblem starts at fd[row(di)], and so does its
+    // tree-distance row in td.
+    let row = |di: usize| (l1 - 1 + di) * stride + (l2 - 1);
 
-    fd[at(l1 - 1, l2 - 1)] = 0;
-    for i in l1..=i_hi {
-        if i - (l1 - 1) > band {
-            break;
-        }
-        fd[at(i, l2 - 1)] =
-            fd[at(i - 1, l2 - 1)].saturating_add(cost.delete(info1.label_at(i - 1)));
+    // Boundary row di = 0: insertions only, up to the band edge.
+    fd[row(0)] = 0;
+    let first = &mut fd[row(0)..row(0) + width];
+    let edge = band.min(m2);
+    for dj in 1..=edge {
+        first[dj] = first[dj - 1].saturating_add(cost.insert(labels2[dj - 1]));
     }
-    for j in l2..=j_hi {
-        if j - (l2 - 1) > band {
-            break;
-        }
-        fd[at(l1 - 1, j)] =
-            fd[at(l1 - 1, j - 1)].saturating_add(cost.insert(info2.label_at(j - 1)));
+    if edge < m2 {
+        first[edge + 1] = inf;
     }
 
     let mut computed = 0u64;
-    for i in l1..=i_hi {
-        let di = i - (l1 - 1);
-        // dj must lie in [di − band, di + band]; translate back to j.
-        let j_lo = (l2 - 1 + di.saturating_sub(band)).max(l2);
-        let j_hi_row = (l2 - 1 + di + band).min(j_hi);
-        if j_lo > j_hi_row {
-            // di − band already exceeds the widest dj; rows below only
-            // drift further from the band.
-            break;
+    // Rows past di = band + m2 lie wholly outside the band.
+    for di in 1..=m1.min(band + m2) {
+        let lo = di.saturating_sub(band).max(1);
+        let hi = (di + band).min(m2);
+        computed += (hi + 1 - lo) as u64;
+        let label1 = labels1[di - 1];
+        let del_cost = cost.delete(label1);
+        // Left forest of the split: li − 1 in band coordinates.
+        let dli = lml1[di - 1] + 1 - l1;
+        let tree_row = dli == 0;
+
+        // The insert read of the first cell: the boundary column inside
+        // the band, else the left band edge. Later inserts and relabels
+        // read the cells left of them through `left` and `diag`.
+        let mut left = if di <= band {
+            let boundary = fd[row(di - 1)].saturating_add(del_cost);
+            fd[row(di)] = boundary;
+            boundary
+        } else {
+            inf
+        };
+        let (done, rest) = fd.split_at_mut(row(di));
+        let cur = &mut rest[..width];
+        let prev = &done[row(di - 1)..];
+        let split_row = &done[row(dli)..];
+        let td_row = &mut td[row(di)..];
+
+        // The right sentinel, which the next row's delete reads.
+        if hi < m2 {
+            cur[hi + 1] = inf;
         }
-        let li = info1.leftmost_leaf(i - 1) + 1;
-        let del_cost = cost.delete(info1.label_at(i - 1));
-        for j in j_lo..=j_hi_row {
-            computed += 1;
-            let lj = info2.leftmost_leaf(j - 1) + 1;
-            let del = fd_read(fd, i - 1, j).saturating_add(del_cost);
-            let ins = fd_read(fd, i, j - 1).saturating_add(cost.insert(info2.label_at(j - 1)));
-            if li == l1 && lj == l2 {
-                let rel = fd_read(fd, i - 1, j - 1)
-                    .saturating_add(cost.relabel(info1.label_at(i - 1), info2.label_at(j - 1)));
+        let mut diag = prev[lo - 1];
+        for dj in lo..=hi {
+            let up = prev[dj];
+            let label2 = labels2[dj - 1];
+            let del = up.saturating_add(del_cost);
+            let ins = left.saturating_add(cost.insert(label2));
+            let dlj = lml2[dj - 1] + 1 - l2;
+            left = if tree_row && dlj == 0 {
+                let rel = diag.saturating_add(cost.relabel(label1, label2));
                 let best = del.min(ins).min(rel);
-                fd[at(i, j)] = best;
-                td[at(i, j)] = best;
+                td_row[dj] = best;
+                best
             } else {
-                let split = fd_read(fd, li - 1, lj - 1).saturating_add(td_read(td, i, j));
-                fd[at(i, j)] = del.min(ins).min(split);
-            }
+                let split = if dli.abs_diff(dlj) <= band {
+                    split_row[dlj].saturating_add(td_row[dj])
+                } else {
+                    inf
+                };
+                del.min(ins).min(split)
+            };
+            cur[dj] = left;
+            diag = up;
         }
     }
     computed

@@ -23,10 +23,10 @@ pub struct TreeInfo {
     keyroots: Vec<usize>,
     /// Original node ids in postorder, for mapping recovery.
     ids: Vec<NodeId>,
-    /// `heights[i]` = height (nodes on the longest downward path, so a
-    /// leaf has height 1) of the subtree rooted at postorder index `i`.
-    /// Used by the bounded DP's height guards ([`crate::bounded`]).
-    heights: Vec<u64>,
+    /// Height of the whole tree (nodes on the longest downward path, so a
+    /// single leaf has height 1), for the bounded DP's entry cutoff
+    /// ([`crate::bounded`]).
+    height: u64,
     /// Number of leaves, for the O(1) leaf-count cutoff of the bounded DP.
     leaves: usize,
 }
@@ -38,7 +38,6 @@ impl TreeInfo {
         let mut labels = Vec::with_capacity(n);
         let mut ids = Vec::with_capacity(n);
         let mut lml = vec![0usize; n];
-        let mut heights = Vec::with_capacity(n);
         // Postorder index per node, to resolve first-child lookups, and
         // the running subtree height per arena slot (children precede
         // parents in postorder, so a node's slot is final when visited).
@@ -55,28 +54,31 @@ impl TreeInfo {
                 None => i,
             };
             let h = height_of[node.index()];
-            heights.push(h);
             if let Some(parent) = tree.parent(node) {
                 let slot = &mut height_of[parent.index()];
                 *slot = (*slot).max(h + 1);
             }
         }
+        let height = height_of[tree.root().index()];
         let leaves = lml.iter().enumerate().filter(|&(i, &l)| l == i).count();
         // LR-keyroots: nodes with no proper ancestor sharing their leftmost
         // leaf — equivalently, for each distinct lml value keep the largest
         // postorder index that attains it.
-        let mut last_for_lml = std::collections::HashMap::new();
+        let mut last_for_lml = vec![usize::MAX; n];
         for (i, &leaf) in lml.iter().enumerate() {
-            last_for_lml.insert(leaf, i);
+            last_for_lml[leaf] = i;
         }
-        let mut keyroots: Vec<usize> = last_for_lml.into_values().collect();
+        let mut keyroots: Vec<usize> = last_for_lml
+            .into_iter()
+            .filter(|&k| k != usize::MAX)
+            .collect();
         keyroots.sort_unstable();
         TreeInfo {
             labels,
             lml,
             keyroots,
             ids,
-            heights,
+            height,
             leaves,
         }
     }
@@ -111,10 +113,20 @@ impl TreeInfo {
         &self.keyroots
     }
 
-    /// Height (nodes on the longest downward path; a leaf has height 1)
-    /// of the subtree rooted at 0-based postorder position `i`.
-    pub fn height_at(&self, i: usize) -> u64 {
-        self.heights[i]
+    /// Height of the tree (nodes on the longest downward path; a single
+    /// leaf has height 1).
+    pub fn height(&self) -> u64 {
+        self.height
+    }
+
+    /// Labels in postorder, for kernels that walk a whole range of nodes.
+    pub(crate) fn labels(&self) -> &[LabelId] {
+        &self.labels
+    }
+
+    /// Leftmost-leaf indices in postorder (see [`Self::leftmost_leaf`]).
+    pub(crate) fn leftmost_leaves(&self) -> &[usize] {
+        &self.lml
     }
 
     /// Number of nodes in the subtree rooted at 0-based postorder
@@ -386,8 +398,12 @@ mod tests {
         assert_eq!(info.leftmost_leaf(2), 1); // c → b
         assert_eq!(info.leftmost_leaf(3), 0); // d → a
         assert_eq!(info.leftmost_leaf(5), 0); // f → a
-                                              // Keyroots: largest postorder index per distinct lml: {a:5, b:2, e:4}.
+
+        // Keyroots: largest postorder index per distinct lml: {a:5, b:2, e:4}.
         assert_eq!(info.keyroots(), &[2, 4, 5]);
+        // Longest downward path f → d → c → b.
+        assert_eq!(info.height(), 4);
+        assert_eq!(info.leaf_count(), 3);
     }
 
     #[test]
