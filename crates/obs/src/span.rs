@@ -211,10 +211,17 @@ impl Drop for SpanGuard {
             stack.pop();
             stack.len()
         });
+        let sink = sink_active();
         if self.traced {
-            crate::trace::on_span_exit(self.name, &self.fields);
+            // The trace takes the fields; only a sink still needs a copy.
+            let fields = if sink {
+                self.fields.clone()
+            } else {
+                std::mem::take(&mut self.fields)
+            };
+            crate::trace::on_span_exit(self.name, fields);
         }
-        if sink_active() {
+        if sink {
             emit(&Event {
                 kind: EventKind::SpanExit,
                 name: self.name,

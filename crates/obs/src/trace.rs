@@ -19,8 +19,9 @@
 //! Capture is always on and deliberately cheap: a span deposit is a
 //! thread-local stack push on enter and a `Vec` push (under the trace's
 //! own mutex) on exit — no formatting beyond what the span already does,
-//! no global locks. Whether the finished trace is *retained* in the ring
-//! is decided once, at [`TraceGuard`] drop:
+//! no global locks. Because every query pays it, callers open spans per
+//! query phase, never per candidate. Whether the finished trace is
+//! *retained* in the ring is decided once, at [`TraceGuard`] drop:
 //!
 //! * the trace is interesting: `spans × max_depth` reached the weight
 //!   budget ([`set_weight_budget`], default 64), or
@@ -132,24 +133,50 @@ impl Trace {
         self.spans.iter().find(|s| s.id == id)
     }
 
-    /// Maximum nesting depth over all spans (a root span has depth 1).
-    pub fn max_depth(&self) -> usize {
-        self.spans
+    /// Each span indexed by its id. Captured ids are 1-based, dense and
+    /// at most [`MAX_TRACE_SPANS`], so the table is as long as the largest
+    /// id (spans lost to the cap or to an early finish leave holes, never
+    /// a longer table). An id that repeats keeps its first span, as
+    /// [`Trace::span`] does; ids beyond the cap only occur in hand-built
+    /// traces and are left out.
+    fn by_id(&self) -> Vec<Option<&TraceSpan>> {
+        let len = self
+            .spans
             .iter()
-            .map(|s| {
-                let mut depth = 1usize;
-                let mut parent = s.parent;
-                // Parent chains are acyclic by construction (a span's
-                // parent is always an earlier id); the bound is belt and
-                // braces against a malformed trace.
-                while parent != 0 && depth <= self.spans.len() {
-                    depth += 1;
-                    parent = self.span(parent).map_or(0, |p| p.parent);
-                }
-                depth
-            })
+            .map(|s| s.id.min(MAX_TRACE_SPANS) as usize + 1)
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0);
+        let mut table = vec![None; len];
+        for s in &self.spans {
+            if (1..=MAX_TRACE_SPANS).contains(&s.id) {
+                table[s.id as usize].get_or_insert(s);
+            }
+        }
+        table
+    }
+
+    /// Maximum nesting depth over all spans (a root span has depth 1; a
+    /// span whose parent is missing from the trace counts that parent as
+    /// one more level).
+    ///
+    /// One ascending pass over the id table: a parent's id is always
+    /// smaller than its child's, so its depth is known when the child
+    /// is reached. In a malformed trace (a parent id not below the
+    /// child's) the parent reads as depth 0; the pass still ends.
+    pub fn max_depth(&self) -> usize {
+        let by_id = self.by_id();
+        let mut depths = vec![0usize; by_id.len()];
+        for (id, span) in by_id.iter().enumerate() {
+            let Some(span) = span else {
+                continue;
+            };
+            depths[id] = match span.parent {
+                0 => 1,
+                parent => present(&by_id, parent).map_or(2, |p| depths[p] + 1),
+            };
+        }
+        let deepest = depths.into_iter().max().unwrap_or(0);
+        deepest.max(usize::from(!self.spans.is_empty()))
     }
 
     /// The sampler's interest weight: `spans × max_depth`.
@@ -201,25 +228,29 @@ impl Trace {
             self.spans.len(),
             self.max_depth()
         );
-        // Children grouped by parent, ordered by start (ties: id).
+        // Children grouped by parent id, ordered by start (ties: id).
+        // Orphans (parent span lost to the span cap or still open when
+        // the trace finished) render at the root level rather than
+        // vanishing.
+        let by_id = self.by_id();
         let mut order: Vec<&TraceSpan> = self.spans.iter().collect();
         order.sort_by_key(|s| (s.start_us, s.id));
-        let children = |parent: u64| -> Vec<&TraceSpan> {
-            order
-                .iter()
-                .copied()
-                .filter(|s| {
-                    s.parent == parent
-                        // Orphans (parent span lost to the span cap)
-                        // render at the root level rather than vanishing.
-                        || (parent == 0 && s.parent != 0 && self.span(s.parent).is_none())
-                })
-                .collect()
-        };
+        let mut roots: Vec<&TraceSpan> = Vec::new();
+        let mut children: Vec<Vec<&TraceSpan>> = vec![Vec::new(); by_id.len()];
+        for s in order {
+            match present(&by_id, s.parent) {
+                Some(parent) => children[parent].push(s),
+                None => roots.push(s),
+            }
+        }
         let mut stack: Vec<(&TraceSpan, usize)> =
-            children(0).into_iter().rev().map(|s| (s, 0usize)).collect();
+            roots.into_iter().rev().map(|s| (s, 0usize)).collect();
         while let Some((span, depth)) = stack.pop() {
-            let kids = children(span.id);
+            // Each group is taken once, so even a malformed trace (a
+            // repeated id) renders in bounded time.
+            let kids = present(&by_id, span.id)
+                .map(|id| std::mem::take(&mut children[id]))
+                .unwrap_or_default();
             let child_total: u64 = kids.iter().map(|c| c.dur_us).sum();
             let self_us = span.dur_us.saturating_sub(child_total);
             let indent = "  ".repeat(depth);
@@ -247,6 +278,13 @@ impl Trace {
         }
         out
     }
+}
+
+/// The table index of span `id` when [`Trace::by_id`] holds it (never
+/// for id 0, the root's parent).
+fn present(by_id: &[Option<&TraceSpan>], id: u64) -> Option<usize> {
+    let index = usize::try_from(id).ok()?;
+    by_id.get(index)?.is_some().then_some(index)
 }
 
 /// Per-trace shared state: worker threads holding a [`TraceHandle`]
@@ -579,8 +617,9 @@ pub(crate) fn on_span_enter(name: &'static str) -> bool {
 }
 
 /// Hook for [`crate::SpanGuard`]'s drop: completes the innermost capture
-/// frame and deposits the finished [`TraceSpan`].
-pub(crate) fn on_span_exit(name: &'static str, fields: &[(&'static str, String)]) {
+/// frame and deposits the finished [`TraceSpan`], which takes over
+/// `fields` without copying them.
+pub(crate) fn on_span_exit(name: &'static str, fields: Vec<(&'static str, String)>) {
     TRACE_CTX.with(|ctx| {
         let mut borrow = ctx.borrow_mut();
         let Some(ctx) = borrow.as_mut() else {
@@ -597,7 +636,7 @@ pub(crate) fn on_span_exit(name: &'static str, fields: &[(&'static str, String)]
             start_us: frame.start_us,
             dur_us: u64::try_from(frame.start.elapsed().as_micros()).unwrap_or(u64::MAX),
             tid: ctx.tid,
-            fields: fields.to_vec(),
+            fields,
         };
         recover(&ctx.shared.spans).push(span);
     });
@@ -605,10 +644,11 @@ pub(crate) fn on_span_exit(name: &'static str, fields: &[(&'static str, String)]
 
 /// A trace-only span guard: participates in trace capture exactly like
 /// [`crate::SpanGuard`] but records no histogram and emits no sink
-/// events — for spans on hot inner paths (per-candidate refinement,
-/// per-stage funnel sweeps) whose timing histograms already exist under
-/// other names, where a full span would double-count them. Free when no
-/// trace is live.
+/// events — for the per-query phases of a query (the cascade stage
+/// sweeps, the refinement sweep) whose timing histograms already exist
+/// under other names, where a full span would double-count them. Free
+/// when no trace is live. Every query is traced, so a span opened once
+/// per candidate would cost once per candidate: keep these per phase.
 #[must_use = "a trace span measures until it is dropped"]
 #[derive(Debug)]
 pub struct TraceSpanGuard {
@@ -630,7 +670,7 @@ impl TraceSpanGuard {
 impl Drop for TraceSpanGuard {
     fn drop(&mut self) {
         if self.traced {
-            on_span_exit(self.name, &std::mem::take(&mut self.fields));
+            on_span_exit(self.name, std::mem::take(&mut self.fields));
         }
     }
 }
@@ -679,8 +719,8 @@ mod tests {
             {
                 let _root = crate::span!("engine.knn", k = 3);
                 {
-                    let mut refine = span("refine.call");
-                    refine.push_field("verdict", || "hit".to_owned());
+                    let mut sweep = span("refine.sweep");
+                    sweep.push_field("refined", || "4".to_owned());
                 }
                 let _other = span("cascade.size");
             }
@@ -692,20 +732,20 @@ mod tests {
         assert_eq!(trace.spans.len(), 3);
         let root = trace.span(1).unwrap();
         assert_eq!(root.parent, 0);
-        let refine = trace
+        let sweep = trace
             .spans
             .iter()
-            .find(|s| s.name == "refine.call")
+            .find(|s| s.name == "refine.sweep")
             .unwrap();
-        assert_eq!(refine.parent, root.id);
-        assert_eq!(refine.fields, vec![("verdict", "hit".to_owned())]);
-        assert!(trace.max_depth() >= 2);
+        assert_eq!(sweep.parent, root.id);
+        assert_eq!(sweep.fields, vec![("refined", "4".to_owned())]);
+        assert_eq!(trace.max_depth(), 2);
         // Children telescope inside the root interval.
-        assert!(refine.start_us >= root.start_us);
-        assert!(refine.end_us() <= root.end_us() + 2);
+        assert!(sweep.start_us >= root.start_us);
+        assert!(sweep.end_us() <= root.end_us() + 2);
         let rendered = trace.render_tree();
         assert!(rendered.contains("engine.knn"), "{rendered}");
-        assert!(rendered.contains("verdict=hit"), "{rendered}");
+        assert!(rendered.contains("refined=4"), "{rendered}");
     }
 
     #[test]
@@ -720,7 +760,7 @@ mod tests {
             {
                 let inner = start_trace();
                 assert_eq!(inner.id(), outer_id, "inner guard joins the outer trace");
-                let _span = span("refine.call");
+                let _span = span("refine.sweep");
             }
             // Dropping the inert inner guard must not end the capture.
             assert_eq!(current_trace_id(), outer_id);
@@ -793,7 +833,7 @@ mod tests {
         let kept = {
             let trace = start_trace();
             let _root = span("engine.knn");
-            let _child = span("refine.call");
+            let _child = span("refine.sweep");
             trace.id()
         };
         assert!(find(kept).is_some(), "weight budget must retain");
@@ -875,7 +915,7 @@ mod tests {
             let trace = start_trace();
             let _root = span("engine.knn");
             for _ in 0..MAX_TRACE_SPANS + 10 {
-                let _s = span("refine.call");
+                let _s = span("cascade.size");
             }
             trace.id()
         };

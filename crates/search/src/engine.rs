@@ -28,7 +28,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use treesim_edit::{bounded_zhang_shasha, CostModel, TreeInfo, UnitCost, ZsWorkspace};
 use treesim_obs::recorder::{self, QueryKind, QueryRecord};
@@ -214,7 +214,9 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
     /// by the caller's live `budget` (the range τ or the current k-th heap
     /// distance). Returns `Some(d)` with the exact distance iff `d ≤
     /// budget`; `None` means the distance provably exceeds the budget (a
-    /// *cutoff* — the candidate cannot affect the result).
+    /// *cutoff* — the candidate cannot affect the result). Also returns
+    /// the DP's wall-clock, read once: the caller accumulates it into
+    /// [`SearchStats::refine_time`] instead of timing the call again.
     ///
     /// Each call records its **effective refinement volume** into the
     /// `refine.zs.nodes` histogram — the problem size (total nodes on both
@@ -224,6 +226,11 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
     /// into `zs_nodes` (the flight record's per-query total); cutoffs and
     /// skipped cells feed the `refine.bounded.{cutoffs,bands_skipped}`
     /// counters and the matching [`SearchStats`] fields.
+    ///
+    /// A call deposits no trace span: every query is traced, so a span
+    /// per candidate would make capture cost grow with the refinements.
+    /// The query's root span carries the refinement totals instead, and
+    /// `treesim explain` gives the per-candidate verdicts.
     fn refine(
         &self,
         query_info: &TreeInfo,
@@ -232,22 +239,13 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         workspace: &mut ZsWorkspace,
         zs_nodes: &mut u64,
         stats: &mut SearchStats,
-    ) -> Option<u64> {
+    ) -> (Option<u64>, Duration) {
         let data_info = &self.infos[id.index()];
-        // Trace-only span (no histogram — `refine.zs.us` below already
-        // carries the timing): one `refine.call` node per refined
-        // candidate, with the live budget and the cutoff verdict.
-        let mut trace_span = treesim_obs::trace::span("refine.call");
-        trace_span.push_field("tree", || id.0.to_string());
-        trace_span.push_field("budget", || budget.to_string());
         let start = Instant::now();
         let (distance, bounded) =
             bounded_zhang_shasha(query_info, data_info, &self.cost, budget, workspace);
-        treesim_obs::histogram!("refine.zs.us").record_duration(start.elapsed());
-        trace_span.push_field("verdict", || match distance {
-            Some(d) => format!("refined d={d}"),
-            None => format!("cutoff (d > {budget})"),
-        });
+        let elapsed = start.elapsed();
+        treesim_obs::histogram!("refine.zs.us").record_duration(elapsed);
         #[cfg(feature = "strict-checks")]
         {
             let oracle = treesim_edit::zhang_shasha(
@@ -276,7 +274,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
             stats.refine_cutoffs += 1;
             treesim_obs::counter!("refine.bounded.cutoffs").inc();
         }
-        distance
+        (distance, elapsed)
     }
 
     fn stage_accumulators(&self) -> Vec<StageStats> {
@@ -320,10 +318,11 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         // Inside a batch/nested query this is inert — the query
         // joins the enclosing trace instead of starting its own.
         let _trace = treesim_obs::trace::start_trace();
-        let _span = treesim_obs::span!("engine.knn", k = k, dataset = self.forest.len());
+        let mut span = treesim_obs::span!("engine.knn", k = k, dataset = self.forest.len());
         let wall_start = Instant::now();
         recorder::propt_iters_take(); // discard any stale accumulation
         let (results, stats, zs_nodes) = self.knn_core(query, k, observer);
+        stats.push_trace_fields(&mut span);
         stats.record_metrics("engine.knn");
         emit_record(
             QueryKind::Knn,
@@ -385,7 +384,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
 
         let query_info = TreeInfo::new(query);
         let mut workspace = ZsWorkspace::new();
-        let mut refine_time = std::time::Duration::ZERO;
+        let mut refine_time = Duration::ZERO;
         let mut zs_nodes = 0u64;
         // Max-heap of the k best (distance, tree) pairs seen so far; the
         // push-then-pop below evicts the largest (distance, id), so among
@@ -422,8 +421,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
                 escalation.push(Reverse((bound.max(sharper), next_stage + 1, id)));
             } else {
                 // The bounded DP may cut off anything beyond the budget.
-                let refine_start = Instant::now();
-                let refined = self.refine(
+                let (refined, elapsed) = self.refine(
                     &query_info,
                     id,
                     budget,
@@ -431,7 +429,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
                     &mut zs_nodes,
                     &mut stats,
                 );
-                refine_time += refine_start.elapsed();
+                refine_time += elapsed;
                 stats.refined += 1;
                 match refined {
                     Some(distance) => {
@@ -486,10 +484,11 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
     ) -> (Vec<Neighbor>, SearchStats) {
         // Trace before span, as in `knn_observed` (drop order matters).
         let _trace = treesim_obs::trace::start_trace();
-        let _span = treesim_obs::span!("engine.range", tau = tau, dataset = self.forest.len());
+        let mut span = treesim_obs::span!("engine.range", tau = tau, dataset = self.forest.len());
         let wall_start = Instant::now();
         recorder::propt_iters_take(); // discard any stale accumulation
         let (results, stats, zs_nodes) = self.range_core(query, tau, observer);
+        stats.push_trace_fields(&mut span);
         stats.record_metrics("engine.range");
         emit_record(
             QueryKind::Range,
@@ -569,6 +568,10 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         }
         stats.filter_time = filter_start.elapsed();
 
+        // One trace-only span for the whole refinement sweep, next to the
+        // stage spans, so the root's children cover the query; the
+        // per-query refinement totals sit on the root span.
+        let sweep_span = treesim_obs::trace::span("refine.sweep");
         let refine_start = Instant::now();
         let query_info = TreeInfo::new(query);
         let mut workspace = ZsWorkspace::new();
@@ -577,8 +580,9 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         for id in candidates {
             // The range radius is the refinement budget: `Some(d)` implies
             // `d ≤ τ` (a hit), `None` is exactly the old `distance > τ`
-            // rejection without paying for the full DP.
-            let refined = self.refine(
+            // rejection without paying for the full DP. The sweep is timed
+            // as a whole, so the per-call duration is not needed here.
+            let (refined, _) = self.refine(
                 &query_info,
                 id,
                 u64::from(tau),
@@ -596,6 +600,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
             }
         }
         stats.refine_time = refine_start.elapsed();
+        drop(sweep_span);
         results.sort_unstable_by_key(|n| (n.distance, n.tree));
         stats.results = results.len();
         (results, stats, zs_nodes)

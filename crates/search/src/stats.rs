@@ -295,6 +295,19 @@ impl SearchStats {
         }
     }
 
+    /// Attaches this query's refinement totals to its root trace span
+    /// (`engine.knn` / `engine.range`): `refined`, `cutoffs`,
+    /// `cells_skipped` and `refine_us`. They stand in for per-candidate
+    /// spans, so a trace costs the same however many candidates reach
+    /// refinement. The values are only formatted when the span is traced
+    /// or a sink is installed.
+    pub(crate) fn push_trace_fields(&self, span: &mut treesim_obs::SpanGuard) {
+        span.push_field("refined", || self.refined.to_string());
+        span.push_field("cutoffs", || self.refine_cutoffs.to_string());
+        span.push_field("cells_skipped", || self.refine_bands_skipped.to_string());
+        span.push_field("refine_us", || self.refine_time.as_micros().to_string());
+    }
+
     /// Divides accumulated counters by the number of queries.
     pub fn averaged(&self, queries: usize) -> AveragedStats {
         let q = queries.max(1) as f64;

@@ -1,7 +1,9 @@
 //! End-to-end trace assembly: `/trace.json` must serve valid Chrome
 //! trace-event JSON while real traffic runs, a range query's span tree
-//! must telescope to its [`SearchStats`] funnel, and every histogram
-//! exemplar must reference a flight record in the recorder ring.
+//! must telescope to its [`SearchStats`] funnel, a query's trace must
+//! hold a fixed number of spans however many candidates it refines, and
+//! every histogram exemplar must reference a flight record in the
+//! recorder ring.
 //!
 //! Unlike `exporter_e2e.rs`, this file holds several tests, and cargo
 //! runs them concurrently in ONE process: the trace ring, sampler
@@ -13,8 +15,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use treesim_obs::server::MetricsServer;
+use treesim_obs::trace::{Trace, TraceSpan};
 use treesim_obs::{trace, Json};
-use treesim_search::{BiBranchFilter, BiBranchMode, SearchEngine};
+use treesim_search::{BiBranchFilter, BiBranchMode, SearchEngine, SearchStats};
 use treesim_tree::{Forest, Tree, TreeId};
 
 /// Serializes the tests in this file (shared process globals). Poison
@@ -183,6 +186,88 @@ fn span_tree_telescopes_to_search_stats_funnel() {
     for pair in stats.stages.windows(2) {
         assert_eq!(pair[0].survivors(), pair[1].evaluated);
     }
+}
+
+/// The trace's root span (the first one entered).
+fn root_span(traced: &Trace) -> &TraceSpan {
+    traced.spans.iter().min_by_key(|s| s.id).expect("root span")
+}
+
+/// The root span's refinement totals equal the query's `SearchStats`.
+fn assert_root_carries_refine_totals(root: &TraceSpan, stats: &SearchStats) {
+    let field = |key: &str| {
+        root.fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.as_str())
+            .unwrap_or_else(|| panic!("{} lacks field {key}: {:?}", root.name, root.fields))
+    };
+    assert_eq!(field("refined"), stats.refined.to_string());
+    assert_eq!(field("cutoffs"), stats.refine_cutoffs.to_string());
+    assert_eq!(
+        field("cells_skipped"),
+        stats.refine_bands_skipped.to_string()
+    );
+    assert_eq!(
+        field("refine_us"),
+        stats.refine_time.as_micros().to_string()
+    );
+}
+
+#[test]
+fn trace_size_is_per_query_not_per_refinement() {
+    let _guard = lock();
+    trace::set_sample_every(1);
+    trace::clear();
+
+    let forest = forest();
+    let engine = SearchEngine::new(
+        &forest,
+        BiBranchFilter::build(&forest, 2, BiBranchMode::Positional),
+    );
+    let query = forest.tree(TreeId(0));
+    let dropped = || treesim_obs::metrics::counter("trace.spans.dropped").get();
+    let dropped_before = dropped();
+
+    // k = n refines every tree; the trace still holds the root alone.
+    let (_, stats) = engine.knn(query, forest.len());
+    assert_eq!(stats.refined, forest.len());
+    let traced = trace::latest().expect("knn query retained a trace");
+    assert_eq!(traced.root(), "engine.knn");
+    assert_eq!(traced.spans.len(), 1, "{}", traced.render_tree());
+    assert_root_carries_refine_totals(root_span(&traced), &stats);
+
+    // A radius that covers the forest refines every tree: root, one
+    // span per cascade stage, and one refinement sweep.
+    let (_, stats) = engine.range(query, 20);
+    assert_eq!(stats.refined, forest.len());
+    let traced = trace::latest().expect("range query retained a trace");
+    assert_eq!(traced.root(), "engine.range");
+    assert_eq!(
+        traced.spans.len(),
+        stats.stages.len() + 2,
+        "{}",
+        traced.render_tree()
+    );
+    let root = root_span(&traced);
+    assert_root_carries_refine_totals(root, &stats);
+    let sweep = traced
+        .spans
+        .iter()
+        .find(|s| s.name == "refine.sweep")
+        .expect("refine.sweep span");
+    assert_eq!(sweep.parent, root.id);
+    assert!(sweep.start_us >= root.start_us);
+    assert!(sweep.end_us() <= root.end_us() + 2);
+    assert_eq!(traced.max_depth(), 2);
+
+    // A range query with cutoffs: the totals still match.
+    let (_, stats) = engine.range(query, 2);
+    assert!(stats.refine_cutoffs > 0, "expected cutoffs at τ = 2");
+    let traced = trace::latest().expect("range query retained a trace");
+    assert_root_carries_refine_totals(root_span(&traced), &stats);
+
+    assert_eq!(dropped(), dropped_before, "no span hit the per-trace cap");
 }
 
 #[test]
