@@ -15,7 +15,6 @@
 //! of the query's posting lists), the O(1) `size` screen, then the
 //! `propt` positional bound.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
@@ -25,6 +24,8 @@ use treesim_obs::recorder::{self, QueryKind};
 use treesim_tree::{Forest, LabelInterner, Tree, TreeId};
 
 use crate::engine::{emit_record, Neighbor};
+use crate::escalation::EscalationQueue;
+use crate::filter::PostingsSweep;
 use crate::stats::{SearchStats, StageStats};
 
 /// Bounded refinement of one candidate, mirroring the static engine's
@@ -234,17 +235,6 @@ impl DynamicIndex {
         treesim_core::merge_shared_mass(self.len(), runs)
     }
 
-    /// The stage −1 bound for one candidate:
-    /// `⌈(|BRV(q)| + |BRV(t)| − 2·shared) / (4(q−1)+1)⌉`.
-    fn postings_bound(&self, shared: &[(TreeId, u64)], total: u64, raw: u32) -> u64 {
-        let mass = match shared.binary_search_by_key(&TreeId(raw), |&(tree, _)| tree) {
-            Ok(found) => shared[found].1,
-            Err(_) => 0,
-        };
-        let data_size = u64::from(self.arena.tree_size(raw));
-        treesim_core::edit_lower_bound(total + data_size - 2 * mass, self.vocab.q())
-    }
-
     fn stage_accumulators() -> Vec<StageStats> {
         vec![
             StageStats::named("postings"),
@@ -257,10 +247,10 @@ impl DynamicIndex {
     /// [`crate::SearchEngine::knn`], including smallest-id tie-breaking).
     ///
     /// Candidates escalate lazily: every tree gets the stage −1 postings
-    /// bound first (one k-way posting merge for the whole query, then an
-    /// O(log candidates) lookup per tree), and only the candidates whose
-    /// bound is among the smallest outstanding ones pay for the O(1)
-    /// size screen and then the `propt` positional bound.
+    /// bound first (one k-way posting merge for the whole query, then one
+    /// forward walk over the merged table in id order), and only the
+    /// candidates whose bound is among the smallest outstanding ones pay
+    /// for the O(1) size screen and then the `propt` positional bound.
     pub fn knn(&self, query: &Tree, k: usize) -> (Vec<Neighbor>, SearchStats) {
         // Trace before span (the span must close before the trace
         // finalizes); inert when an enclosing trace is already live.
@@ -288,15 +278,15 @@ impl DynamicIndex {
         let query_vector = self.query_vector(query);
         let shared = self.shared_mass(&query_vector);
         let total = u64::from(query_vector.tree_size());
-        // Escalation heap keyed by (bound, next stage, id): stage 1 is
+        // Escalation queue keyed by (bound, next stage, id): stage 1 is
         // the size screen, stage 2 the propt positional bound, stage 3
-        // means "fully bounded, refine".
-        let mut escalation: BinaryHeap<Reverse<(u64, usize, u32)>> = (0..self.vectors.len())
-            .map(|i| {
-                let raw = i as u32;
-                Reverse((self.postings_bound(&shared, total, raw), 1, raw))
-            })
+        // means "fully bounded, refine". The postings bound needs no
+        // vector access beyond each tree's stored size.
+        let mut sweep = PostingsSweep::new(&shared, total, self.vocab.q());
+        let bounds: Vec<u64> = (0..self.len() as u32)
+            .map(|raw| sweep.bound(TreeId(raw), self.arena.tree_size(raw)))
             .collect();
+        let mut escalation = EscalationQueue::new(bounds, 1);
         if let Some(stage0) = stats.stages.first_mut() {
             stage0.evaluated = self.len();
         }
@@ -305,7 +295,7 @@ impl DynamicIndex {
         let mut workspace = ZsWorkspace::new();
         let mut zs_nodes = 0u64;
         let mut heap: BinaryHeap<(u64, u32)> = BinaryHeap::with_capacity(k + 1);
-        while let Some(&Reverse((bound, next_stage, raw))) = escalation.peek() {
+        loop {
             // Same live budget as the static core: the current k-th
             // distance once the heap is full (equal distances still need
             // the exact value for id tie-breaking).
@@ -313,16 +303,15 @@ impl DynamicIndex {
                 Some(&(worst, _)) if heap.len() == k => worst,
                 _ => u64::MAX,
             };
-            if bound > budget {
+            let Some((bound, next_stage, raw)) = escalation.pop_within(budget) else {
                 break;
-            }
-            escalation.pop();
+            };
             if next_stage == 1 {
                 let sharper = query_vector.size_bound(&self.vectors[raw as usize]);
                 if let Some(stage1) = stats.stages.get_mut(1) {
                     stage1.evaluated += 1;
                 }
-                escalation.push(Reverse((bound.max(sharper), 2, raw)));
+                escalation.push(bound.max(sharper), 2, raw);
             } else if next_stage == 2 {
                 // Capped at the budget, as in the static core.
                 let sharper =
@@ -330,7 +319,7 @@ impl DynamicIndex {
                 if let Some(stage2) = stats.stages.get_mut(2) {
                     stage2.evaluated += 1;
                 }
-                escalation.push(Reverse((bound.max(sharper), 3, raw)));
+                escalation.push(bound.max(sharper), 3, raw);
             } else {
                 let data_info = &self.infos[raw as usize];
                 let refined = refine_bounded(
@@ -351,7 +340,10 @@ impl DynamicIndex {
                 }
             }
         }
-        for &Reverse((_, next_stage, _)) in escalation.iter() {
+        if let Some(stage0) = stats.stages.first_mut() {
+            stage0.pruned += escalation.unpopped_run_len();
+        }
+        for (_, next_stage, _) in escalation.remaining_escalated() {
             stats.stages[next_stage - 1].pruned += 1;
         }
         let mut results: Vec<Neighbor> = heap
@@ -398,10 +390,12 @@ impl DynamicIndex {
             unreachable!("constructed with exactly three stages above")
         };
         stage_postings.evaluated = self.len();
+        let mut sweep = PostingsSweep::new(&shared, total, self.vocab.q());
         for (raw, vector) in self.vectors.iter().enumerate() {
             // Stage −1 first: the postings bound needs no access to the
             // candidate's vector beyond its stored size.
-            if self.postings_bound(&shared, total, raw as u32) > u64::from(tau) {
+            let raw_id = raw as u32;
+            if sweep.bound(TreeId(raw_id), self.arena.tree_size(raw_id)) > u64::from(tau) {
                 stage_postings.pruned += 1;
                 continue;
             }
@@ -628,5 +622,157 @@ mod tests {
         index.push_bracket("a(b c d)").unwrap();
         let (hits, _) = index.knn(&query, 1);
         assert_eq!(hits[0].distance, 0);
+    }
+
+    /// The stage −1 bound as `knn` and `range` computed it before the
+    /// shared forward walk: one binary search per tree.
+    fn searched_postings_bound(
+        index: &DynamicIndex,
+        shared: &[(TreeId, u64)],
+        total: u64,
+        raw: u32,
+    ) -> u64 {
+        let mass = match shared.binary_search_by_key(&TreeId(raw), |&(tree, _)| tree) {
+            Ok(found) => shared[found].1,
+            Err(_) => 0,
+        };
+        let data_size = u64::from(index.arena.tree_size(raw));
+        treesim_core::edit_lower_bound(total + data_size - 2 * mass, index.vocab.q())
+    }
+
+    /// The reference k-NN loop: every stage-0 entry pushed into one heap.
+    fn heap_knn(index: &DynamicIndex, query: &Tree, k: usize) -> (Vec<Neighbor>, SearchStats) {
+        use std::cmp::Reverse;
+        let mut stats = SearchStats {
+            dataset_size: index.len(),
+            stages: DynamicIndex::stage_accumulators(),
+            ..Default::default()
+        };
+        if k == 0 || index.is_empty() {
+            return (Vec::new(), stats);
+        }
+        let query_vector = index.query_vector(query);
+        let shared = index.shared_mass(&query_vector);
+        let total = u64::from(query_vector.tree_size());
+        let mut escalation: BinaryHeap<Reverse<(u64, usize, u32)>> = (0..index.len() as u32)
+            .map(|raw| {
+                let bound = searched_postings_bound(index, &shared, total, raw);
+                Reverse((bound, 1, raw))
+            })
+            .collect();
+        stats.stages[0].evaluated = index.len();
+        let query_info = TreeInfo::new(query);
+        let mut workspace = ZsWorkspace::new();
+        let mut zs_nodes = 0u64;
+        let mut heap: BinaryHeap<(u64, u32)> = BinaryHeap::new();
+        while let Some(&Reverse((bound, next_stage, raw))) = escalation.peek() {
+            let budget = match heap.peek() {
+                Some(&(worst, _)) if heap.len() == k => worst,
+                _ => u64::MAX,
+            };
+            if bound > budget {
+                break;
+            }
+            escalation.pop();
+            let vector = &index.vectors[raw as usize];
+            if next_stage == 1 {
+                let sharper = query_vector.size_bound(vector);
+                stats.stages[1].evaluated += 1;
+                escalation.push(Reverse((bound.max(sharper), 2, raw)));
+            } else if next_stage == 2 {
+                let sharper = crate::filter::propt_bound(&query_vector, vector, budget);
+                stats.stages[2].evaluated += 1;
+                escalation.push(Reverse((bound.max(sharper), 3, raw)));
+            } else {
+                let refined = refine_bounded(
+                    &query_info,
+                    &index.infos[raw as usize],
+                    budget,
+                    &mut workspace,
+                    &mut zs_nodes,
+                    &mut stats.refine_cutoffs,
+                    &mut stats.refine_bands_skipped,
+                );
+                stats.refined += 1;
+                if let Some(distance) = refined {
+                    heap.push((distance, raw));
+                    if heap.len() > k {
+                        heap.pop();
+                    }
+                }
+            }
+        }
+        for &Reverse((_, next_stage, _)) in escalation.iter() {
+            stats.stages[next_stage - 1].pruned += 1;
+        }
+        let mut results: Vec<Neighbor> = heap
+            .into_iter()
+            .map(|(distance, raw)| Neighbor {
+                tree: TreeId(raw),
+                distance,
+            })
+            .collect();
+        results.sort_unstable_by_key(|n| (n.distance, n.tree));
+        stats.results = results.len();
+        (results, stats)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// After every push, `knn` answers and counts exactly as the
+        /// full-heap loop, and `range`'s stage −1 prunes exactly the
+        /// trees the binary-searched bound puts above τ.
+        #[test]
+        fn knn_pops_like_the_full_heap_after_interleaved_pushes(
+            seed in 0u64..1_000_000,
+            count in 1usize..24,
+            labels in 2u32..6,
+        ) {
+            use treesim_datagen::normal::Normal;
+            use treesim_datagen::synthetic::{generate, SyntheticConfig};
+            let forest = generate(&SyntheticConfig {
+                fanout: Normal::new(2.5, 1.0),
+                size: Normal::new(8.0, 3.0),
+                label_count: labels,
+                decay: 0.3,
+                seed_count: 2.min(count),
+                tree_count: count,
+                rng_seed: seed,
+            });
+            let mut index = DynamicIndex::new(2);
+            *index.interner_mut() = forest.interner().clone();
+            for (pushed, (_, tree)) in forest.iter().enumerate() {
+                index.push(tree.clone());
+                let n = pushed + 1;
+                for (_, query) in forest.iter().step_by(count.div_ceil(3).max(1)) {
+                    for k in [1, 5, n, n + 3] {
+                        let (got, got_stats) = index.knn(query, k);
+                        let (want, want_stats) = heap_knn(&index, query, k);
+                        proptest::prop_assert_eq!(&got, &want, "n = {}, k = {}", n, k);
+                        proptest::prop_assert_eq!(
+                            got_stats.counters(),
+                            want_stats.counters(),
+                            "n = {}, k = {}",
+                            n,
+                            k
+                        );
+                    }
+                    let query_vector = index.query_vector(query);
+                    let shared = index.shared_mass(&query_vector);
+                    let total = u64::from(query_vector.tree_size());
+                    for tau in [0u32, 2, 5] {
+                        let (_, stats) = index.range(query, tau);
+                        let above = (0..n as u32)
+                            .filter(|&raw| {
+                                searched_postings_bound(&index, &shared, total, raw)
+                                    > u64::from(tau)
+                            })
+                            .count();
+                        proptest::prop_assert_eq!(stats.stages[0].pruned, above, "τ = {}", tau);
+                    }
+                }
+            }
+        }
     }
 }

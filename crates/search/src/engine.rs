@@ -26,7 +26,6 @@
 //! points ([`SearchEngine::knn_batch`], [`SearchEngine::range_batch`])
 //! fan independent queries out over a scoped thread pool.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
@@ -34,6 +33,7 @@ use treesim_edit::{bounded_zhang_shasha, CostModel, TreeInfo, UnitCost, ZsWorksp
 use treesim_obs::recorder::{self, QueryKind, QueryRecord};
 use treesim_tree::{Forest, Tree, TreeId};
 
+use crate::escalation::EscalationQueue;
 use crate::filter::Filter;
 use crate::stats::{SearchStats, StageStats};
 
@@ -289,10 +289,12 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
     /// statistics.
     ///
     /// Candidates escalate lazily through the filter's bound cascade: an
-    /// escalation heap keyed by `(bound, stage, id)` always advances the
-    /// candidate with the smallest outstanding bound, either sharpening
-    /// its bound with the next cascade stage or (once fully bounded)
-    /// refining it. When the smallest outstanding bound exceeds the
+    /// escalation queue ordered by `(bound, next stage, id)` always
+    /// advances the candidate with the smallest outstanding bound, either
+    /// sharpening its bound with the next cascade stage or (once fully
+    /// bounded) refining it. Every tree enters with its stage-0 bound in
+    /// a run sorted once per query; only re-pushed candidates go through
+    /// a heap, so a query pays O(log) only for what it pops. When the smallest outstanding bound exceeds the
     /// current k-th distance, no remaining candidate — at any stage — can
     /// enter the result, and the search stops. The comparison is strict
     /// (`>`), so candidates whose bound *equals* the current k-th distance
@@ -362,21 +364,20 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
 
         // Stage 0 for every tree, in bulk: one batched sweep in ascending
         // tree-id (= arena) order, so arena-backed filters touch their CSR
-        // slabs sequentially. The heap keys escalations by (bound, next
-        // stage, id): of equally bounded entries the one with fewer stages
-        // left runs first, reaching refinement sooner.
+        // slabs sequentially. The queue pops by (bound, next stage, id):
+        // of equally bounded entries the one with fewer stages left runs
+        // first, reaching refinement sooner. The stage-0 entries wait in
+        // a sorted run, so only the trees actually popped cost more than
+        // the sort.
         let stage0_start = Instant::now();
         let sweep: Vec<TreeId> = self.forest.iter().map(|(id, _)| id).collect();
         let mut bounds: Vec<u64> = Vec::with_capacity(sweep.len());
         self.filter
             .stage_bound_batch(&query_artifact, &sweep, 0, &mut bounds);
-        let mut escalation: BinaryHeap<Reverse<(u64, usize, TreeId)>> =
-            BinaryHeap::with_capacity(self.forest.len());
         for (&id, &raw_bound) in sweep.iter().zip(&bounds) {
-            let bound = raw_bound * scale;
-            observer.on_stage_bound(id, 0, bound);
-            escalation.push(Reverse((bound, 1, id)));
+            observer.on_stage_bound(id, 0, raw_bound * scale);
         }
+        let mut escalation = EscalationQueue::new(bounds, scale);
         if let Some(stage0) = stats.stages.first_mut() {
             stage0.evaluated = self.forest.len();
             stage0.time = stage0_start.elapsed();
@@ -390,7 +391,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
         // push-then-pop below evicts the largest (distance, id), so among
         // equal distances the smallest ids survive.
         let mut heap: BinaryHeap<(u64, TreeId)> = BinaryHeap::with_capacity(k + 1);
-        while let Some(&Reverse((bound, next_stage, id))) = escalation.peek() {
+        loop {
             // The live budget is the current k-th distance once the heap
             // is full: a candidate strictly beyond it would be pushed and
             // immediately evicted; at exactly the budget the exact
@@ -399,10 +400,10 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
                 Some(&(worst, _)) if heap.len() == k => worst,
                 _ => u64::MAX,
             };
-            if bound > budget {
+            let Some((bound, next_stage, raw)) = escalation.pop_within(budget) else {
                 break; // no outstanding candidate can improve the result
-            }
-            escalation.pop();
+            };
+            let id = TreeId(raw);
             if next_stage < stage_count {
                 // Sharpen with the next cascade stage; keep the running
                 // max (stages need not be pointwise monotone). The stage
@@ -418,7 +419,7 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
                 stats.stages[next_stage].time += stage_start.elapsed();
                 stats.stages[next_stage].evaluated += 1;
                 observer.on_stage_bound(id, next_stage, sharper);
-                escalation.push(Reverse((bound.max(sharper), next_stage + 1, id)));
+                escalation.push(bound.max(sharper), next_stage + 1, raw);
             } else {
                 // The bounded DP may cut off anything beyond the budget.
                 let (refined, elapsed) = self.refine(
@@ -443,10 +444,18 @@ impl<'a, F: Filter, C: CostModel> SearchEngine<'a, F, C> {
                 }
             }
         }
-        // Whatever is still queued was pruned by its last evaluated stage.
-        for &Reverse((bound, next_stage, id)) in escalation.iter() {
+        // Whatever is still queued was pruned by its last evaluated stage:
+        // the unpopped run by stage 0, a re-pushed entry by the stage
+        // before the one it waits for.
+        if let Some(stage0) = stats.stages.first_mut() {
+            stage0.pruned += escalation.unpopped_run_len();
+        }
+        for (bound, _, raw) in escalation.unpopped_run() {
+            observer.on_pruned(TreeId(raw), 0, bound);
+        }
+        for (bound, next_stage, raw) in escalation.remaining_escalated() {
             stats.stages[next_stage - 1].pruned += 1;
-            observer.on_pruned(id, next_stage - 1, bound);
+            observer.on_pruned(TreeId(raw), next_stage - 1, bound);
         }
         stats.filter_time = filter_start.elapsed() - refine_time;
         stats.refine_time = refine_time;
@@ -1259,5 +1268,176 @@ mod tests {
         assert!(engine.batch_threads_for(100) >= 1);
         let queries: Vec<&Tree> = forest.iter().map(|(_, t)| t).take(2).collect();
         assert_eq!(engine.knn_batch(&queries, 1).len(), 2);
+    }
+}
+
+/// `knn_core` against the loop it replaced: one `BinaryHeap` over all n
+/// stage-0 entries. The escalation queue must pop in exactly that order,
+/// so answers, funnel counters and EXPLAIN verdicts all agree.
+#[cfg(test)]
+mod escalation_equivalence {
+    use super::*;
+    use crate::explain::ExplainObserver;
+    use crate::filter::{BiBranchFilter, BiBranchMode, PostingsFilter};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use treesim_datagen::normal::Normal;
+    use treesim_datagen::synthetic::{generate, SyntheticConfig};
+    use treesim_edit::WeightedCost;
+
+    /// The reference k-NN loop: every stage-0 entry pushed into one heap.
+    fn heap_knn<F: Filter, C: CostModel, O: QueryObserver>(
+        engine: &SearchEngine<'_, F, C>,
+        query: &Tree,
+        k: usize,
+        observer: &mut O,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let mut stats = SearchStats {
+            dataset_size: engine.forest.len(),
+            stages: engine.stage_accumulators(),
+            ..Default::default()
+        };
+        if k == 0 || engine.forest.is_empty() {
+            return (Vec::new(), stats);
+        }
+        let scale = engine.bound_scale();
+        let stage_count = engine.filter.stages();
+        let artifact = engine.filter.prepare_query(query);
+        let mut escalation = BinaryHeap::new();
+        for (id, _) in engine.forest.iter() {
+            let bound = engine.filter.stage_bound(&artifact, id, 0) * scale;
+            observer.on_stage_bound(id, 0, bound);
+            escalation.push(Reverse((bound, 1usize, id)));
+        }
+        stats.stages[0].evaluated = engine.forest.len();
+        let query_info = TreeInfo::new(query);
+        let mut workspace = ZsWorkspace::new();
+        let mut zs_nodes = 0u64;
+        let mut heap: BinaryHeap<(u64, TreeId)> = BinaryHeap::new();
+        while let Some(&Reverse((bound, next_stage, id))) = escalation.peek() {
+            let budget = match heap.peek() {
+                Some(&(worst, _)) if heap.len() == k => worst,
+                _ => u64::MAX,
+            };
+            if bound > budget {
+                break;
+            }
+            escalation.pop();
+            if next_stage < stage_count {
+                let sharper =
+                    engine
+                        .filter
+                        .stage_bound_within(&artifact, id, next_stage, budget / scale)
+                        * scale;
+                stats.stages[next_stage].evaluated += 1;
+                observer.on_stage_bound(id, next_stage, sharper);
+                escalation.push(Reverse((bound.max(sharper), next_stage + 1, id)));
+            } else {
+                let (refined, _) = engine.refine(
+                    &query_info,
+                    id,
+                    budget,
+                    &mut workspace,
+                    &mut zs_nodes,
+                    &mut stats,
+                );
+                stats.refined += 1;
+                match refined {
+                    Some(distance) => {
+                        observer.on_refined(id, distance);
+                        heap.push((distance, id));
+                        if heap.len() > k {
+                            heap.pop();
+                        }
+                    }
+                    None => observer.on_refine_cutoff(id, budget),
+                }
+            }
+        }
+        for &Reverse((bound, next_stage, id)) in escalation.iter() {
+            stats.stages[next_stage - 1].pruned += 1;
+            observer.on_pruned(id, next_stage - 1, bound);
+        }
+        let mut results: Vec<Neighbor> = heap
+            .into_iter()
+            .map(|(distance, tree)| Neighbor { tree, distance })
+            .collect();
+        results.sort_unstable_by_key(|n| (n.distance, n.tree));
+        stats.results = results.len();
+        (results, stats)
+    }
+
+    /// Compares both loops for every `k` in {1, 5, n, n + 3} over a few
+    /// queries: some dataset trees and one tree from another forest.
+    fn check<F: Filter, C: CostModel>(
+        engine: &SearchEngine<'_, F, C>,
+        outsider: &Tree,
+    ) -> Result<(), TestCaseError> {
+        let n = engine.forest.len();
+        let queries = engine
+            .forest
+            .iter()
+            .step_by(n.div_ceil(3).max(1))
+            .map(|(_, tree)| tree)
+            .chain([outsider]);
+        for query in queries {
+            for k in [1, 5, n, n + 3] {
+                let mut observer = ExplainObserver::new();
+                let (got, got_stats, _) = engine.knn_core(query, k, &mut observer);
+                let got_explain = observer.into_candidates(&got, |_| 0);
+                let mut observer = ExplainObserver::new();
+                let (want, want_stats) = heap_knn(engine, query, k, &mut observer);
+                let want_explain = observer.into_candidates(&want, |_| 0);
+                prop_assert_eq!(&got, &want, "k = {}", k);
+                prop_assert_eq!(got_stats.counters(), want_stats.counters(), "k = {}", k);
+                prop_assert_eq!(got_explain, want_explain, "k = {}", k);
+            }
+        }
+        Ok(())
+    }
+
+    fn random_forest(seed: u64, count: usize, labels: u32) -> Forest {
+        generate(&SyntheticConfig {
+            fanout: Normal::new(2.5, 1.0),
+            size: Normal::new(8.0, 3.0),
+            label_count: labels,
+            decay: 0.3,
+            seed_count: 2.min(count),
+            tree_count: count,
+            rng_seed: seed,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn knn_core_pops_like_the_full_heap(
+            seed in 0u64..1_000_000,
+            count in 1usize..28,
+            labels in 2u32..6,
+            relabel in 2u64..5,
+            delete in 2u64..5,
+            insert in 2u64..5,
+        ) {
+            let forest = random_forest(seed, count, labels);
+            let outsider_forest = random_forest(seed ^ 0x5eed, 1, labels);
+            let outsider = outsider_forest.tree(TreeId(0));
+
+            let postings = SearchEngine::new(&forest, PostingsFilter::build(&forest, 2));
+            check(&postings, outsider)?;
+            let bibranch = SearchEngine::new(
+                &forest,
+                BiBranchFilter::build(&forest, 2, BiBranchMode::Positional),
+            );
+            check(&bibranch, outsider)?;
+            let weighted = SearchEngine::with_cost(
+                &forest,
+                PostingsFilter::build(&forest, 2),
+                WeightedCost { relabel, delete, insert },
+            );
+            prop_assert!(weighted.bound_scale() >= 2);
+            check(&weighted, outsider)?;
+        }
     }
 }

@@ -623,19 +623,12 @@ impl Filter for PostingsFilter {
             // both ascend by tree id, so one forward walk over `shared`
             // replaces the per-candidate binary searches.
             (0, _) => {
-                let mut table = query.shared.iter().peekable();
-                out.extend(candidates.iter().map(|&id| {
-                    while table.peek().is_some_and(|&&(tree, _)| tree < id) {
-                        table.next();
-                    }
-                    let shared = match table.peek() {
-                        Some(&&(tree, mass)) if tree == id => mass,
-                        _ => 0,
-                    };
-                    let floor = query.total + u64::from(self.arena.tree_size(id.index() as u32))
-                        - 2 * shared;
-                    treesim_core::edit_lower_bound(floor, self.q())
-                }));
+                let mut sweep = PostingsSweep::new(&query.shared, query.total, self.q());
+                out.extend(
+                    candidates
+                        .iter()
+                        .map(|&id| sweep.bound(id, self.arena.tree_size(id.index() as u32))),
+                );
             }
             (1, _) => {
                 let query_size = query.vector.tree_size();
@@ -751,6 +744,48 @@ impl Filter for PostingsFilter {
                 "postings join candidates of {left:?} diverged from prunes_range"
             );
         }
+    }
+}
+
+/// The stage −1 bound `⌈(|BRV(q)| + |BRV(t)| − 2·shared) / (4(q−1)+1)⌉`
+/// for candidates visited in ascending id order: one forward walk over
+/// the query's merged shared-mass table (ascending by tree id) replaces a
+/// binary search per candidate. Shared by [`PostingsFilter`]'s batched
+/// stage 0 and both [`crate::DynamicIndex`] query paths.
+pub(crate) struct PostingsSweep<'a> {
+    shared: &'a [(TreeId, u64)],
+    next: usize,
+    total: u64,
+    q: usize,
+}
+
+impl<'a> PostingsSweep<'a> {
+    /// A walk over `shared` for a query of branch mass `total`
+    /// (out-of-vocabulary branches included) and branch level `q`.
+    pub(crate) fn new(shared: &'a [(TreeId, u64)], total: u64, q: usize) -> Self {
+        PostingsSweep {
+            shared,
+            next: 0,
+            total,
+            q,
+        }
+    }
+
+    /// The bound of tree `id`, whose branch mass (= node count) is
+    /// `size`. Ids must ascend across calls.
+    pub(crate) fn bound(&mut self, id: TreeId, size: u32) -> u64 {
+        while self
+            .shared
+            .get(self.next)
+            .is_some_and(|&(tree, _)| tree < id)
+        {
+            self.next += 1;
+        }
+        let mass = match self.shared.get(self.next) {
+            Some(&(tree, mass)) if tree == id => mass,
+            _ => 0,
+        };
+        treesim_core::edit_lower_bound(self.total + u64::from(size) - 2 * mass, self.q)
     }
 }
 

@@ -37,6 +37,7 @@ pub mod classify;
 pub mod cluster;
 pub mod dynamic;
 pub mod engine;
+mod escalation;
 pub mod explain;
 pub mod filter;
 pub mod join;

@@ -8,7 +8,12 @@
 //! latency histograms without holding onto individual stats.
 
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Duration;
+
+use treesim_obs::metrics::{counter, histogram};
+use treesim_obs::naming::CASCADE_STAGES;
+use treesim_obs::{Counter, Histogram};
 
 /// Measurements for one stage of the lower-bound cascade.
 ///
@@ -40,6 +45,75 @@ impl StageStats {
     /// Candidates that survived this stage.
     pub fn survivors(&self) -> usize {
         self.evaluated.saturating_sub(self.pruned)
+    }
+}
+
+/// The query prefixes whose [`PrefixHandles`] are resolved once.
+const CACHED_PREFIXES: [&str; 4] = ["engine.knn", "engine.range", "dynamic.knn", "dynamic.range"];
+
+/// The registry handles [`SearchStats::record_metrics`] writes under one
+/// query prefix.
+#[derive(Clone, Copy)]
+struct PrefixHandles {
+    queries: &'static Counter,
+    refined: &'static Counter,
+    cutoffs: &'static Counter,
+    results: &'static Counter,
+    filter_us: &'static Histogram,
+    refine_us: &'static Histogram,
+}
+
+impl PrefixHandles {
+    fn resolve(prefix: &str) -> Self {
+        PrefixHandles {
+            queries: counter(&format!("{prefix}.queries")),
+            refined: counter(&format!("{prefix}.refined")),
+            cutoffs: counter(&format!("{prefix}.cutoffs")),
+            results: counter(&format!("{prefix}.results")),
+            filter_us: histogram(&format!("{prefix}.filter.us")),
+            refine_us: histogram(&format!("{prefix}.refine.us")),
+        }
+    }
+
+    /// The handles for `prefix`, cached when it is one of
+    /// [`CACHED_PREFIXES`].
+    fn of(prefix: &str) -> Self {
+        static SLOTS: [OnceLock<PrefixHandles>; CACHED_PREFIXES.len()] =
+            [const { OnceLock::new() }; CACHED_PREFIXES.len()];
+        match CACHED_PREFIXES.iter().position(|&cached| cached == prefix) {
+            Some(slot) => *SLOTS[slot].get_or_init(|| Self::resolve(prefix)),
+            None => Self::resolve(prefix),
+        }
+    }
+}
+
+/// The registry handles of one cascade stage's funnel:
+/// `cascade.<stage>.{evaluated,pruned,us}`.
+#[derive(Clone, Copy)]
+struct StageHandles {
+    evaluated: &'static Counter,
+    pruned: &'static Counter,
+    us: &'static Histogram,
+}
+
+impl StageHandles {
+    fn resolve(stage: &str) -> Self {
+        StageHandles {
+            evaluated: counter(&format!("cascade.{stage}.evaluated")),
+            pruned: counter(&format!("cascade.{stage}.pruned")),
+            us: histogram(&format!("cascade.{stage}.us")),
+        }
+    }
+
+    /// The handles for `stage`, cached when it is one of
+    /// [`CASCADE_STAGES`].
+    fn of(stage: &str) -> Self {
+        static SLOTS: [OnceLock<StageHandles>; CASCADE_STAGES.len()] =
+            [const { OnceLock::new() }; CASCADE_STAGES.len()];
+        match CASCADE_STAGES.iter().position(|&cached| cached == stage) {
+            Some(slot) => *SLOTS[slot].get_or_init(|| Self::resolve(stage)),
+            None => Self::resolve(stage),
+        }
     }
 }
 
@@ -280,18 +354,24 @@ impl SearchStats {
     ///
     /// Metric recording never changes query results; it only accumulates
     /// what already happened.
+    ///
+    /// The registry handles are resolved once per process for the query
+    /// prefixes and the [`CASCADE_STAGES`] names, so a flush costs no
+    /// name formatting and no registry lock; any other name is looked up
+    /// on every call.
     pub fn record_metrics(&self, prefix: &str) {
-        use treesim_obs::metrics::{counter, histogram};
-        counter(&format!("{prefix}.queries")).inc();
-        counter(&format!("{prefix}.refined")).add(self.refined as u64);
-        counter(&format!("{prefix}.cutoffs")).add(self.refine_cutoffs as u64);
-        counter(&format!("{prefix}.results")).add(self.results as u64);
-        histogram(&format!("{prefix}.filter.us")).record_duration(self.filter_time);
-        histogram(&format!("{prefix}.refine.us")).record_duration(self.refine_time);
+        let handles = PrefixHandles::of(prefix);
+        handles.queries.inc();
+        handles.refined.add(self.refined as u64);
+        handles.cutoffs.add(self.refine_cutoffs as u64);
+        handles.results.add(self.results as u64);
+        handles.filter_us.record_duration(self.filter_time);
+        handles.refine_us.record_duration(self.refine_time);
         for stage in &self.stages {
-            counter(&format!("cascade.{}.evaluated", stage.name)).add(stage.evaluated as u64);
-            counter(&format!("cascade.{}.pruned", stage.name)).add(stage.pruned as u64);
-            histogram(&format!("cascade.{}.us", stage.name)).record_duration(stage.time);
+            let handles = StageHandles::of(stage.name);
+            handles.evaluated.add(stage.evaluated as u64);
+            handles.pruned.add(stage.pruned as u64);
+            handles.us.record_duration(stage.time);
         }
     }
 
@@ -332,6 +412,29 @@ impl SearchStats {
                 .collect(),
             latency: self.latency.clone(),
         }
+    }
+}
+
+/// Every deterministic counter of one query's [`SearchStats`]: per-stage
+/// `(name, evaluated, pruned)`, then refined, cutoffs, cells skipped and
+/// results. Timings are left out.
+#[cfg(test)]
+pub(crate) type Counters = (Vec<(&'static str, usize, usize)>, usize, usize, u64, usize);
+
+#[cfg(test)]
+impl SearchStats {
+    /// The query's [`Counters`], for equality checks between two runs.
+    pub(crate) fn counters(&self) -> Counters {
+        (
+            self.stages
+                .iter()
+                .map(|s| (s.name, s.evaluated, s.pruned))
+                .collect(),
+            self.refined,
+            self.refine_cutoffs,
+            self.refine_bands_skipped,
+            self.results,
+        )
     }
 }
 
