@@ -43,7 +43,8 @@ with the inverted-list stage -1 candidate generator. A flag that the
 command does not read is an error.
 
 Observability (any command):
-  --trace pretty|json     stream span/event traces to stderr
+  --trace pretty|json     after the command, print its span trees to stderr
+                          (pretty: indented trees; json: the /trace.json document)
   --metrics FILE          write the metrics snapshot (counters, gauges,
                           histograms) as JSON after the command finishes
   TREESIM_TRACE_WEIGHT_BUDGET / TREESIM_TRACE_SAMPLE_EVERY / TREESIM_TRACE_SLO_US
@@ -57,7 +58,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let command = argv.first().map(String::as_str).unwrap_or("help");
     let rest = if argv.is_empty() { &[] } else { &argv[1..] };
     let args = Args::parse(rest)?;
-    configure_tracing(&args)?;
+    let trace_format = configure_tracing(command, &args)?;
     let outcome = check_flags(command, &args).and_then(|()| match command {
         "help" | "--help" | "-h" => {
             println!("{HELP}");
@@ -77,7 +78,11 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "serve-metrics" => serve_metrics(&args),
         other => Err(format!("unknown command {other:?}")),
     });
-    // Snapshot even on command failure: partial funnels are still useful.
+    // Render and snapshot even on command failure: partial funnels are
+    // still useful.
+    if let Some(format) = trace_format {
+        eprint!("{}", render_traces(format));
+    }
     if let Some(path) = args.get("metrics") {
         write_metrics(path)?;
     }
@@ -133,12 +138,23 @@ fn check_flags(command: &str, args: &Args) -> Result<(), String> {
     }
 }
 
-/// Installs the span sink requested by `--trace pretty|json` (traces go to
-/// stderr so they never mix with command output on stdout), after applying
-/// the `TREESIM_TRACE_*` sampler knobs from the environment. Handlers that
-/// force retention (the `trace` subcommand) still win: they set their knob
-/// after this runs.
-fn configure_tracing(args: &Args) -> Result<(), String> {
+/// How `--trace` renders the traces retained while the command ran.
+#[derive(Clone, Copy)]
+enum TraceFormat {
+    /// Each trace's indented span tree.
+    Pretty,
+    /// The `/trace.json` document (Chrome trace events, schema
+    /// `treesim-trace/v1`).
+    Json,
+}
+
+/// Applies the `TREESIM_TRACE_*` sampler knobs from the environment, then
+/// reads `--trace pretty|json`: a mode forces trace retention so the
+/// command's queries are all kept for [`render_traces`], which
+/// [`dispatch`] prints to stderr (never mixed with command output on
+/// stdout) once the command finishes. Handlers that force retention (the
+/// `trace` subcommand) still win: they set their knob after this runs.
+fn configure_tracing(command: &str, args: &Args) -> Result<Option<TraceFormat>, String> {
     if let Some(v) = env_knob("TREESIM_TRACE_WEIGHT_BUDGET")? {
         treesim_obs::trace::set_weight_budget(v);
     }
@@ -148,17 +164,32 @@ fn configure_tracing(args: &Args) -> Result<(), String> {
     if let Some(v) = env_knob("TREESIM_TRACE_SLO_US")? {
         treesim_obs::trace::set_slo_us(v);
     }
-    match args.get("trace") {
-        None => Ok(()),
-        Some("pretty") => {
-            treesim_obs::install_sink(std::sync::Arc::new(treesim_obs::PrettySink));
-            Ok(())
-        }
-        Some("json") => {
-            treesim_obs::install_sink(std::sync::Arc::new(treesim_obs::JsonLinesSink::stderr()));
-            Ok(())
-        }
-        Some(other) => Err(format!("--trace: unknown mode {other:?} (pretty|json)")),
+    let format = match args.get("trace") {
+        None => return Ok(None),
+        Some("pretty") => TraceFormat::Pretty,
+        Some("json") => TraceFormat::Json,
+        Some(other) => return Err(format!("--trace: unknown mode {other:?} (pretty|json)")),
+    };
+    if command == "serve-metrics" {
+        return Err(
+            "serve-metrics does not accept --trace: it never finishes, so it \
+             would never print; read the retained traces from /trace.json"
+                .into(),
+        );
+    }
+    treesim_obs::trace::set_sample_every(1);
+    Ok(Some(format))
+}
+
+/// Renders every retained trace. The CLI answers one query per process
+/// and `--trace` forces retention, so that is the command's own query.
+fn render_traces(format: TraceFormat) -> String {
+    match format {
+        TraceFormat::Pretty => treesim_obs::trace::retained()
+            .iter()
+            .map(treesim_obs::Trace::render_tree)
+            .collect(),
+        TraceFormat::Json => treesim_obs::trace::chrome_trace_json().to_string_pretty(),
     }
 }
 
@@ -527,9 +558,11 @@ fn trace_query(args: &Args) -> Result<(), String> {
     // only trace there is.
     treesim_obs::trace::set_sample_every(1);
     search(args, kind)?;
-    let trace = treesim_obs::trace::latest()
-        .ok_or("no trace was retained — the query produced no spans")?;
-    print!("{}", trace.render_tree());
+    let tree = render_traces(TraceFormat::Pretty);
+    if tree.is_empty() {
+        return Err("no trace was retained — the query produced no spans".into());
+    }
+    print!("{tree}");
     println!(
         "-- serve this tree in Chrome trace-event format: \
          `treesim serve-metrics` → /trace.json (chrome://tracing, Perfetto)"
@@ -756,6 +789,8 @@ mod tests {
 
     #[test]
     fn trace_and_metrics_flags() {
+        // `--trace` forces trace retention before its query runs.
+        let _knobs = knob_lock();
         let dir = std::env::temp_dir().join("treesim-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("obs.trees");
@@ -775,17 +810,44 @@ mod tests {
             metrics_str,
         ]))
         .unwrap();
-        treesim_obs::clear_sink();
+        // The json rendering is the /trace.json document and holds the
+        // query's root span.
+        let doc = treesim_obs::parse_json(&render_traces(TraceFormat::Json)).unwrap();
+        assert_eq!(
+            doc.get("otherData")
+                .and_then(|d| d.get("schema"))
+                .and_then(treesim_obs::Json::as_str),
+            Some("treesim-trace/v1")
+        );
+        let events = doc
+            .get("traceEvents")
+            .and_then(treesim_obs::Json::as_array)
+            .unwrap();
+        assert!(events
+            .iter()
+            .any(|e| e.get("name").and_then(treesim_obs::Json::as_str) == Some("engine.knn")));
+        assert!(render_traces(TraceFormat::Pretty).contains("engine.knn"));
         // The emitted snapshot parses back and contains the knn funnel.
         let text = std::fs::read_to_string(&metrics).unwrap();
         let snapshot = treesim_obs::MetricsSnapshot::from_json_str(&text).unwrap();
         assert!(snapshot.counter("engine.knn.queries").unwrap() >= 1);
         assert!(snapshot.counter("cascade.size.evaluated").unwrap() >= 3);
         // Unknown trace modes are rejected.
-        assert!(dispatch(&argv(&[
-            "knn", data_str, "--query", "a", "--trace", "verbose"
+        let err = dispatch(&argv(&[
+            "knn", data_str, "--query", "a", "--trace", "verbose",
         ]))
-        .is_err());
+        .unwrap_err();
+        assert!(err.contains("verbose"), "{err}");
+        // serve-metrics never finishes, so it would never print a trace.
+        let err = dispatch(&argv(&[
+            "serve-metrics",
+            "--addr",
+            "127.0.0.1:0",
+            "--trace",
+            "pretty",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("/trace.json"), "{err}");
         std::fs::remove_file(&data).ok();
         std::fs::remove_file(&metrics).ok();
     }

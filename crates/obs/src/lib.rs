@@ -11,11 +11,9 @@
 //!   a [`MetricsSnapshot`] that round-trips through JSON (the
 //!   `BENCH_*.json` perf-trajectory format).
 //! * **Spans** ([`mod@span`]): RAII [`span!`] guards that record
-//!   wall-clock into `<name>.us` histograms, a point [`event!`] macro, and
-//!   a pluggable [`Sink`] with three impls — [`PrettySink`] (stderr),
-//!   [`JsonLinesSink`], and [`TestSink`] for assertions. With no sink
-//!   installed the only cost is the histogram update (one `Acquire`
-//!   atomic bool guards everything else).
+//!   wall-clock into `<name>.us` histograms and, inside a trace capture,
+//!   deposit into the query's span tree. Outside a capture the only cost
+//!   is the histogram update: fields are not even formatted.
 //! * **Flight recorder** ([`mod@recorder`]): an always-on, bounded,
 //!   sharded ring of structured per-query [`QueryRecord`]s — the
 //!   query-level complement to the aggregate registry. O(capacity)
@@ -31,9 +29,11 @@
 //!   worker threads that joined via a [`trace::TraceHandle`]) carries a
 //!   parent id and is reassembled into a [`trace::Trace`] held in a
 //!   bounded ring, exportable as Chrome trace-event JSON or an indented
-//!   tree. Latency histograms stamp the current trace id into the bucket
-//!   each sample lands in (**exemplars**), linking `/metrics` tails back
-//!   to a concrete recorded query.
+//!   tree. This is the only span record: `/trace.json`, `treesim trace`
+//!   and the CLI's `--trace pretty|json` all render finished traces.
+//!   Latency histograms stamp the current trace id into the bucket each
+//!   sample lands in (**exemplars**), linking `/metrics` tails back to a
+//!   concrete recorded query.
 //!
 //! # Naming scheme
 //!
@@ -90,10 +90,7 @@ pub use metrics::{
 };
 pub use recorder::{BatchContext, FlightRecorder, QueryKind, QueryRecord, StageRecord};
 pub use server::{MetricsServer, ServerHandle};
-pub use span::{
-    clear_sink, current_depth, current_spans, install_sink, sink_active, Event, EventKind,
-    JsonLinesSink, OwnedEvent, PrettySink, Sink, SpanGuard, TestSink,
-};
+pub use span::SpanGuard;
 pub use trace::{current_trace_id, start_trace, trace_active, Trace, TraceGuard, TraceSpan};
 
 /// Resolves (and caches per call-site) the counter named by a string
@@ -131,9 +128,9 @@ macro_rules! histogram {
 /// `span!("cascade.stage", name = stage, k = 5)`.
 ///
 /// The guard records wall-clock into the `<name>.us` histogram when
-/// dropped. Field values are formatted with `Display` — and only when
-/// someone will see them (a sink is installed or a trace capture is live
-/// on this thread), so uninstrumented runs never pay for formatting.
+/// dropped. Field values are formatted with `Display` — and only when a
+/// trace capture is live on this thread, so untraced runs never pay for
+/// formatting.
 #[macro_export]
 macro_rules! span {
     ($name:literal) => {
@@ -147,30 +144,12 @@ macro_rules! span {
         $crate::SpanGuard::enter(
             $name,
             $crate::histogram!(::std::concat!($name, ".us")),
-            if $crate::sink_active() || $crate::trace_active() {
+            if $crate::trace_active() {
                 ::std::vec![$((::std::stringify!($key), ::std::format!("{}", $value))),+]
             } else {
                 ::std::vec::Vec::new()
             },
         )
-    };
-}
-
-/// Emits a point event to the installed sink (no-op without one):
-/// `event!("engine.knn.done", results = n)`. Field values are only
-/// formatted when a sink is installed.
-#[macro_export]
-macro_rules! event {
-    ($name:expr) => {
-        $crate::span::emit_event($name, &[])
-    };
-    ($name:expr, $($key:ident = $value:expr),+ $(,)?) => {
-        if $crate::sink_active() {
-            $crate::span::emit_event(
-                $name,
-                &[$((::std::stringify!($key), ::std::format!("{}", $value))),+],
-            )
-        }
     };
 }
 

@@ -18,8 +18,8 @@
 //! Production code reaches the shims through the [`crate::sync`] facade:
 //! a `RUSTFLAGS="--cfg treesim_model"` build swaps them in for
 //! `std::sync`, so `crates/obs/tests/model.rs` drives the *real* flight
-//! recorder, plus mirrors of the `SINK_ACTIVE` and trace-ring protocols,
-//! through this checker.
+//! recorder, plus a mirror of the trace-ring protocol, through this
+//! checker.
 //!
 //! # The memory model (and its approximations)
 //!
@@ -924,9 +924,8 @@ mod tests {
 
     #[test]
     fn relaxed_message_passing_is_caught() {
-        // The textbook bug (and the pre-PR-3 SINK_ACTIVE shape): data is
-        // published with a Relaxed flag, so the reader can observe the
-        // flag without the data.
+        // The textbook bug: data is published with a Relaxed flag, so
+        // the reader can observe the flag without the data.
         let err = explore(
             &opts(),
             2,

@@ -589,11 +589,11 @@ impl Drop for WorkerTraceGuard {
     }
 }
 
-/// Hook for [`crate::SpanGuard::enter`]: opens a capture frame for the
-/// span if a trace is live. Returns whether the span is being traced
-/// (the guard passes it back to [`on_span_exit`] so a trace started
-/// mid-span never pops a frame it did not push).
-pub(crate) fn on_span_enter(name: &'static str) -> bool {
+/// Opens a capture frame for a [`TraceSpanGuard`] if a trace is live.
+/// Returns whether the span is being traced (the guard only calls
+/// [`on_span_exit`] if so, so a trace started mid-span never pops a frame
+/// it did not push).
+fn on_span_enter(name: &'static str) -> bool {
     TRACE_CTX.with(|ctx| {
         let mut borrow = ctx.borrow_mut();
         let Some(ctx) = borrow.as_mut() else {
@@ -616,10 +616,10 @@ pub(crate) fn on_span_enter(name: &'static str) -> bool {
     })
 }
 
-/// Hook for [`crate::SpanGuard`]'s drop: completes the innermost capture
+/// Closes a traced [`TraceSpanGuard`]: completes the innermost capture
 /// frame and deposits the finished [`TraceSpan`], which takes over
 /// `fields` without copying them.
-pub(crate) fn on_span_exit(name: &'static str, fields: Vec<(&'static str, String)>) {
+fn on_span_exit(name: &'static str, fields: Vec<(&'static str, String)>) {
     TRACE_CTX.with(|ctx| {
         let mut borrow = ctx.borrow_mut();
         let Some(ctx) = borrow.as_mut() else {
@@ -642,13 +642,14 @@ pub(crate) fn on_span_exit(name: &'static str, fields: Vec<(&'static str, String
     });
 }
 
-/// A trace-only span guard: participates in trace capture exactly like
-/// [`crate::SpanGuard`] but records no histogram and emits no sink
-/// events — for the per-query phases of a query (the cascade stage
-/// sweeps, the refinement sweep) whose timing histograms already exist
-/// under other names, where a full span would double-count them. Free
-/// when no trace is live. Every query is traced, so a span opened once
-/// per candidate would cost once per candidate: keep these per phase.
+/// A trace-only span guard: the one code path that opens and closes
+/// trace frames. [`crate::SpanGuard`] wraps it and adds a `<name>.us`
+/// histogram; used alone (through [`span`]) it records no histogram — for
+/// the per-query phases of a query (the cascade stage sweeps, the
+/// refinement sweep) whose timing histograms already exist under other
+/// names, where a full span would double-count them. Free when no trace
+/// is live. Every query is traced, so a span opened once per candidate
+/// would cost once per candidate: keep these per phase.
 #[must_use = "a trace span measures until it is dropped"]
 #[derive(Debug)]
 pub struct TraceSpanGuard {
@@ -658,6 +659,18 @@ pub struct TraceSpanGuard {
 }
 
 impl TraceSpanGuard {
+    /// Opens a frame for `name` with its enter-time `fields` if a trace is
+    /// live (the fields are dropped otherwise). Whether it opened one is
+    /// remembered, so a trace that starts mid-span never pops a frame
+    /// this guard did not push.
+    pub(crate) fn enter(name: &'static str, fields: Vec<(&'static str, String)>) -> Self {
+        TraceSpanGuard {
+            name,
+            traced: on_span_enter(name),
+            fields,
+        }
+    }
+
     /// Attaches a field; the value closure only runs when the span is
     /// actually being traced.
     pub fn push_field(&mut self, key: &'static str, value: impl FnOnce() -> String) {
@@ -678,11 +691,7 @@ impl Drop for TraceSpanGuard {
 /// Opens a trace-only span (see [`TraceSpanGuard`]). The name obeys the
 /// same [`crate::naming`] contract as metric names.
 pub fn span(name: &'static str) -> TraceSpanGuard {
-    TraceSpanGuard {
-        name,
-        traced: on_span_enter(name),
-        fields: Vec::new(),
-    }
+    TraceSpanGuard::enter(name, Vec::new())
 }
 
 /// Capture contexts are thread-local but the ring and sampler knobs are

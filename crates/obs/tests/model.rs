@@ -2,14 +2,13 @@
 //! under `RUSTFLAGS="--cfg treesim_model"` (the CI `model-check` step):
 //! the `treesim_obs::sync` facade then resolves to the shims in
 //! `treesim_obs::model`, so the *production* flight-recorder code runs
-//! under the exhaustive interleaving scheduler. The span-sink and
-//! trace-ring protocols use statics/thread-locals that cannot be swapped
-//! per run, so they are checked as faithful mirrors instead — see
-//! DESIGN.md §14 for what each result does and does not prove.
+//! under the exhaustive interleaving scheduler. The trace-ring protocol
+//! uses statics/thread-locals that cannot be swapped per run, so it is
+//! checked as a faithful mirror instead — see DESIGN.md §14 for what
+//! each result does and does not prove.
 #![cfg(treesim_model)]
 
-use treesim_obs::model::{explore, verify, AtomicBool, AtomicU64, Failure, Mutex, Options, Stats};
-use treesim_obs::sync::Ordering;
+use treesim_obs::model::{explore, verify, Mutex, Options};
 use treesim_obs::{FlightRecorder, QueryKind, QueryRecord};
 
 fn opts() -> Options {
@@ -112,96 +111,6 @@ fn recorder_overflow_evicts_and_counts() {
         |_| Ok(()),
     )
     .expect("overflow bookkeeping is exact");
-}
-
-// ---------------------------------------------------------------------
-// Protocol (b): SINK_ACTIVE install/uninstall vs concurrent emission —
-// a mirror of crates/obs/src/span.rs (flag = SINK_ACTIVE, slot = the
-// sink slot; 0 = empty, nonzero = a fully-written sink).
-// ---------------------------------------------------------------------
-
-/// The span-sink publication protocol, parameterized by the hot-path load
-/// ordering so the historical regression stays checkable.
-fn sink_protocol(load_order: Ordering) -> Result<Stats, Failure> {
-    explore(
-        &opts(),
-        2,
-        || (AtomicU64::new(0), AtomicBool::new(false)),
-        move |i, (slot, flag)| match i {
-            // install_sink: write the slot, then publish with Release.
-            0 => {
-                slot.store(1, Ordering::Relaxed);
-                flag.store(true, Ordering::Release);
-            }
-            // Emission hot path: flag check, then the slot read.
-            _ => {
-                if flag.load(load_order) {
-                    verify(
-                        slot.load(Ordering::Relaxed) != 0,
-                        "observed SINK_ACTIVE but the sink slot is empty",
-                    );
-                }
-            }
-        },
-        |_| Ok(()),
-    )
-}
-
-/// The shipped protocol: `Acquire` on the hot path makes the slot write
-/// visible whenever the flag reads true.
-#[test]
-fn sink_active_acquire_load_is_sound() {
-    let stats = sink_protocol(Ordering::Acquire).expect("Release/Acquire publication is sound");
-    assert!(stats.schedules > 1, "{stats:?}");
-}
-
-/// Regression: the pre-fix hot path loaded `SINK_ACTIVE` with `Relaxed`,
-/// so emission could observe the flag without the slot. The checker must
-/// find that interleaving (the happens-before lint also flags it
-/// statically — see `lints::happens_before` tests).
-#[test]
-fn sink_active_relaxed_load_regression_is_caught() {
-    let failure = sink_protocol(Ordering::Relaxed)
-        .expect_err("the model checker must catch the historical Relaxed bug");
-    assert!(
-        failure.message.contains("sink slot is empty"),
-        "{failure:?}"
-    );
-    assert!(!failure.schedule.is_empty(), "{failure:?}");
-}
-
-/// Uninstall racing emission: clearing flips the flag (Release) before
-/// wiping the slot, so an emitter that observed `true` still sees a
-/// usable slot — the mirror of `clear_sink`'s ordering contract.
-#[test]
-fn sink_clear_never_exposes_a_wiped_slot() {
-    explore(
-        &opts(),
-        3,
-        || (AtomicU64::new(0), AtomicBool::new(false)),
-        |i, (slot, flag)| match i {
-            0 => {
-                slot.store(1, Ordering::Relaxed);
-                flag.store(true, Ordering::Release);
-            }
-            1 => {
-                // clear_sink mirror: retract the flag first, then reuse
-                // the slot (modelled as a second generation, not zero).
-                flag.store(false, Ordering::Release);
-                slot.store(2, Ordering::Relaxed);
-            }
-            _ => {
-                if flag.load(Ordering::Acquire) {
-                    verify(
-                        slot.load(Ordering::Relaxed) != 0,
-                        "observed SINK_ACTIVE but the sink slot is empty",
-                    );
-                }
-            }
-        },
-        |_| Ok(()),
-    )
-    .expect("install/clear/emit interleavings are sound");
 }
 
 // ---------------------------------------------------------------------

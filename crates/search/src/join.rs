@@ -65,20 +65,19 @@ impl JoinStats {
         }
     }
 
-    /// Flushes the counters into the global `treesim-obs` registry under
-    /// `prefix` (the join operations record as `"join"`), following the
-    /// `treesim_obs::naming` grammar: `{prefix}.queries` counts join
-    /// invocations, `{prefix}.pairs.{considered,refined,joined,cutoffs}`
-    /// mirror the per-call fields, and `{prefix}.cells_skipped` totals the
-    /// bounded-DP savings.
-    pub fn record_into(&self, prefix: &str) {
-        use treesim_obs::metrics::counter;
-        counter(&format!("{prefix}.queries")).inc();
-        counter(&format!("{prefix}.pairs.considered")).add(self.pairs_considered as u64);
-        counter(&format!("{prefix}.pairs.refined")).add(self.pairs_refined as u64);
-        counter(&format!("{prefix}.pairs.joined")).add(self.pairs_joined as u64);
-        counter(&format!("{prefix}.pairs.cutoffs")).add(self.pairs_cutoff as u64);
-        counter(&format!("{prefix}.cells_skipped")).add(self.cells_skipped);
+    /// Flushes the counters into the global `treesim-obs` registry,
+    /// following the `treesim_obs::naming` grammar: `join.queries` counts
+    /// join invocations, `join.pairs.{considered,refined,joined,cutoffs}`
+    /// mirror the per-call fields, and `join.cells_skipped` totals the
+    /// bounded-DP savings. Each name resolves once per call site.
+    pub(crate) fn record(&self) {
+        use treesim_obs::counter;
+        counter!("join.queries").inc();
+        counter!("join.pairs.considered").add(self.pairs_considered as u64);
+        counter!("join.pairs.refined").add(self.pairs_refined as u64);
+        counter!("join.pairs.joined").add(self.pairs_joined as u64);
+        counter!("join.pairs.cutoffs").add(self.pairs_cutoff as u64);
+        counter!("join.cells_skipped").add(self.cells_skipped);
     }
 }
 
@@ -164,7 +163,7 @@ pub fn closest_pairs<F: Filter>(
     let _span = treesim_obs::span!("join.closest", k = k, trees = forest.len());
     let mut stats = JoinStats::default();
     if k == 0 || forest.len() < 2 {
-        stats.record_into("join");
+        stats.record();
         return (Vec::new(), stats);
     }
     let ids: Vec<TreeId> = forest.iter().map(|(id, _)| id).collect();
@@ -238,7 +237,7 @@ pub fn closest_pairs<F: Filter>(
         .collect();
     results.sort_unstable_by_key(|p| (p.distance, p.left, p.right));
     stats.pairs_joined = results.len();
-    stats.record_into("join");
+    stats.record();
     (results, stats)
 }
 
@@ -490,7 +489,7 @@ fn join_partitions<F: Filter>(
         }
     }
     results.sort_unstable_by_key(|p| (p.left, p.right));
-    stats.record_into("join");
+    stats.record();
     (results, stats)
 }
 

@@ -379,8 +379,7 @@ impl SearchStats {
     /// (`engine.knn` / `engine.range`): `refined`, `cutoffs`,
     /// `cells_skipped` and `refine_us`. They stand in for per-candidate
     /// spans, so a trace costs the same however many candidates reach
-    /// refinement. The values are only formatted when the span is traced
-    /// or a sink is installed.
+    /// refinement. The values are only formatted when the span is traced.
     pub(crate) fn push_trace_fields(&self, span: &mut treesim_obs::SpanGuard) {
         span.push_field("refined", || self.refined.to_string());
         span.push_field("cutoffs", || self.refine_cutoffs.to_string());

@@ -1,7 +1,7 @@
 //! Property tests for the observability layer: cascade funnel accounting
 //! invariants, over both the 3-stage positional cascade and the 4-stage
-//! postings cascade, and the guarantee that span sinks never change query
-//! results (observation is passive).
+//! postings cascade, and the guarantee that trace retention never changes
+//! query results (observation is passive).
 
 use proptest::prelude::*;
 use treesim_datagen::normal::Normal;
@@ -73,6 +73,14 @@ fn check_knn_funnel<F: Filter>(
     Ok(())
 }
 
+/// Serializes the tests that touch the process-wide trace-sampler knobs.
+fn knob_lock() -> std::sync::MutexGuard<'static, ()> {
+    static KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    KNOBS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn keyed(results: &[Neighbor]) -> Vec<(TreeId, u64)> {
     results.iter().map(|n| (n.tree, n.distance)).collect()
 }
@@ -99,32 +107,39 @@ proptest! {
         check_knn_funnel(&postings_engine(&forest), &forest, query_id, k)?;
     }
 
-    /// Installing or removing a span sink never changes results: the
-    /// neighbor lists (ids AND distances) are identical with no sink,
-    /// with a TestSink capturing every event, and after removal.
+    /// Retaining every trace never changes results: the neighbor lists
+    /// (ids AND distances) are identical under the default sampler, with
+    /// retention forced for every trace, and with the default restored.
     #[test]
-    fn sink_never_changes_results(seed in 0u64..10_000, k in 1usize..5, tau in 0u32..5) {
+    fn trace_retention_never_changes_results(
+        seed in 0u64..10_000,
+        k in 1usize..5,
+        tau in 0u32..5,
+    ) {
+        let _knobs = knob_lock();
         let forest = random_forest(seed, 12);
         let engine = positional_engine(&forest);
         let query = forest.tree(TreeId((seed % forest.len() as u64) as u32));
+        let default_every = treesim_obs::trace::sample_every();
 
-        let bare_knn = keyed(&engine.knn(query, k).0);
-        let bare_range = keyed(&engine.range(query, tau).0);
+        let sampled_knn = keyed(&engine.knn(query, k).0);
+        let sampled_range = keyed(&engine.range(query, tau).0);
 
-        let sink = treesim_obs::TestSink::new();
-        treesim_obs::install_sink(sink.clone());
-        let observed_knn = keyed(&engine.knn(query, k).0);
-        let observed_range = keyed(&engine.range(query, tau).0);
-        let captured = sink.events().len();
-        treesim_obs::clear_sink();
+        let retained = treesim_obs::metrics::counter("trace.retained");
+        let before = retained.get();
+        treesim_obs::trace::set_sample_every(1);
+        let kept_knn = keyed(&engine.knn(query, k).0);
+        let kept_range = keyed(&engine.range(query, tau).0);
+        treesim_obs::trace::set_sample_every(default_every);
+        let kept = retained.get() - before;
 
-        let after_knn = keyed(&engine.knn(query, k).0);
-        let after_range = keyed(&engine.range(query, tau).0);
+        let restored_knn = keyed(&engine.knn(query, k).0);
+        let restored_range = keyed(&engine.range(query, tau).0);
 
-        prop_assert!(captured >= 2, "sink saw no span events");
-        prop_assert_eq!(&observed_knn, &bare_knn, "sink changed knn results");
-        prop_assert_eq!(&observed_range, &bare_range, "sink changed range results");
-        prop_assert_eq!(&after_knn, &bare_knn, "sink removal changed knn results");
-        prop_assert_eq!(&after_range, &bare_range, "sink removal changed range results");
+        prop_assert!(kept >= 2, "forced retention kept {} traces", kept);
+        prop_assert_eq!(&kept_knn, &sampled_knn, "retention changed knn results");
+        prop_assert_eq!(&kept_range, &sampled_range, "retention changed range results");
+        prop_assert_eq!(&restored_knn, &sampled_knn, "restoring the sampler changed knn results");
+        prop_assert_eq!(&restored_range, &sampled_range, "restoring the sampler changed range results");
     }
 }

@@ -27,10 +27,6 @@ const OBS_ALLOWED: &[(&str, &[&str])] = &[
     // Relaxed. Anything stronger would be a lie about what snapshots
     // guarantee.
     ("crates/obs/src/metrics.rs", &["Relaxed"]),
-    // The SINK_ACTIVE flag: Release store on install/clear pairs with the
-    // Acquire hot-path load, so observing `true` implies the sink slot
-    // write is visible (see DESIGN.md §9 for the interleaving argument).
-    ("crates/obs/src/span.rs", &["Release", "Acquire"]),
     // The flight recorder's only atomic is the sequence-id counter:
     // fetch_add is an atomic RMW, so Relaxed already guarantees unique
     // monotone ids, and no other memory is published through the counter
@@ -167,20 +163,20 @@ mod tests {
 
     #[test]
     fn obs_modules_must_match_the_table() {
-        // span.rs may use Release/Acquire…
+        // model.rs may use Release/Acquire…
         let ok = run(
-            "crates/obs/src/span.rs",
+            "crates/obs/src/model.rs",
             "fn f(x: &AtomicBool) -> bool { x.store(true, Ordering::Release); \
              x.load(Ordering::Acquire) }",
         );
         assert!(ok.is_empty(), "{ok:?}");
-        // …but the old Relaxed load is exactly what the audit flags.
-        let relaxed = run(
-            "crates/obs/src/span.rs",
-            "fn f(x: &AtomicBool) -> bool { x.load(Ordering::Relaxed) }",
+        // …but an ordering outside its entry is exactly what the audit flags.
+        let acq_rel = run(
+            "crates/obs/src/model.rs",
+            "fn f(x: &AtomicBool) -> bool { x.swap(true, Ordering::AcqRel) }",
         );
-        assert_eq!(relaxed.len(), 1);
-        assert!(relaxed[0].message.contains("allowlist table"));
+        assert_eq!(acq_rel.len(), 1);
+        assert!(acq_rel[0].message.contains("allowlist table"));
         // metrics.rs is Relaxed-only.
         let acquire = run(
             "crates/obs/src/metrics.rs",
@@ -224,7 +220,7 @@ mod tests {
     #[test]
     fn test_code_is_exempt() {
         let findings = run(
-            "crates/obs/src/span.rs",
+            "crates/obs/src/trace.rs",
             "#[cfg(test)]\nmod tests {\n    fn t(x: &AtomicBool) { x.store(true, Ordering::SeqCst); }\n}\n",
         );
         assert!(findings.is_empty(), "{findings:?}");

@@ -15,8 +15,8 @@
 //!   statement's `;`;
 //! * calls propagate: `may_acquire(f)` is the fixpoint of direct
 //!   acquisitions plus callees' sets (methods and free fns are resolved
-//!   by name — an over-approximation that merges every `emit` method,
-//!   which is exactly right for dyn-dispatch sinks).
+//!   by name — an over-approximation that merges every method of one
+//!   name, which is exactly right for dyn-dispatch calls).
 //!
 //! Lock identity is `(file, name)`, canonicalized through
 //! [`LOCK_ALIASES`] so a loop variable borrowing a shard counts against
@@ -92,7 +92,6 @@ const UNRESOLVED_CALLS: &[&str] = &[
 const LOCK_ALIASES: &[(&str, &str, &str)] = &[
     ("crates/obs/src/recorder.rs", "shard", "recorder.shards"),
     ("crates/obs/src/recorder.rs", "s", "recorder.shards"),
-    ("crates/obs/src/span.rs", "SINK", "span.sink_slot"),
     ("crates/obs/src/trace.rs", "RING", "trace.ring"),
 ];
 
@@ -548,9 +547,9 @@ impl Lint for LockOrder {
 
         // Per-fn direct acquisitions and call lists, indexed by position
         // in `self.fns`. Calls resolve to same-file fns only (plus the
-        // method/free bucket split): the obs helper patterns — dyn
-        // `sink.emit` dispatching to sinks defined in span.rs, `finalize`
-        // feeding the ring accessor — are all same-file, while resolving
+        // method/free bucket split): the obs helper patterns — `finalize`
+        // feeding the ring accessor, `recover` wrapping a lock — are all
+        // same-file, while resolving
         // `new`/`get`/`insert` workspace-wide would merge every type's
         // constructor into one node and fabricate cycles.
         let mut direct: Vec<BTreeSet<String>> = Vec::with_capacity(self.fns.len());
@@ -827,7 +826,7 @@ mod tests {
     fn temporary_guard_dies_at_the_semicolon() {
         // `*slot().write()… = …;` then a later lock: no edge.
         let findings = run(&[(
-            "crates/obs/src/span.rs",
+            "crates/obs/src/metrics.rs",
             "struct S { a: RwLock<u32>, b: Mutex<u32> }\n\
              impl S {\n\
                  fn set(&self) { *self.a.write().unwrap() = 1; let _g = self.b.lock(); \

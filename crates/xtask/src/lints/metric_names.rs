@@ -4,10 +4,10 @@
 //! The grammar itself lives in `treesim_obs::naming` — the *same* module
 //! the runtime contract test uses — so this lint cannot drift from what
 //! the registry accepts. Extraction is token-based: for each call to
-//! `counter` / `gauge` / `histogram` / `span!` / `event!` /
-//! `record_metrics` (macro, function or method form) the first string
-//! literal of the first argument is taken as the name; `format!`
-//! templates validate with `{…}` placeholders as wildcard segments, so
+//! `counter` / `gauge` / `histogram` / `span!` / `record_metrics`
+//! (macro, function or method form) the first string literal of the
+//! first argument is taken as the name; `format!` templates validate
+//! with `{…}` placeholders as wildcard segments, so
 //! `"cascade.{}.evaluated"` and `"{prefix}.filter.us"` are checked too.
 //!
 //! The cascade contract is cross-checked statically: every string literal
@@ -34,14 +34,7 @@ use crate::lex::TokenKind;
 use crate::lint::{Finding, Severity, SourceFile};
 
 /// Identifiers that take a metric/span name as their first argument.
-const NAME_SINKS: &[&str] = &[
-    "counter",
-    "gauge",
-    "histogram",
-    "span",
-    "event",
-    "record_metrics",
-];
+const NAME_SINKS: &[&str] = &["counter", "gauge", "histogram", "span", "record_metrics"];
 
 /// The `metric-name` pass.
 #[derive(Debug, Default)]
@@ -296,7 +289,6 @@ mod tests {
             fn f(stats: &SearchStats, n: u64) {
                 let _span = treesim_obs::span!("engine.knn", k = n);
                 treesim_obs::counter!("dynamic.push").inc();
-                treesim_obs::event!("engine.knn.done", results = n);
                 treesim_obs::histogram!("cascade.propt.iters").record(n);
                 stats.record_metrics("engine.knn");
                 counter(&format!("cascade.{}.evaluated", "size")).add(n);
